@@ -1,11 +1,12 @@
-"""CTest round-engine micro-benchmark: scalar loop vs vectorized engine.
+"""CTest round-engine micro-benchmark: loop oracle vs vectorized engine.
 
 Times one full ``ctest_batch`` window — pressure start, all observation
 rounds, pressure stop, verdicts — over synthetic fleets at
 1x/4x/16x/64x/256x of an 800-instance campaign wave with the paper's
-60-round test window, comparing the scalar per-round loop (one probe
-round-trip per instance per round) against the batched ``observe_rounds``
-engine (one observation call per host per window).
+60-round test window, comparing the per-round loop oracle
+(``tests/oracles.py``: one probe round-trip per instance per round)
+against the production ``observe_rounds`` engine (one observation call
+per host per window).
 
 The two engines are byte-identical by contract (see the identity suites
 in ``tests/unit/test_ctest_vectorized.py`` and ``tests/scale``); this
@@ -17,7 +18,7 @@ alone.
 
 Run::
 
-    PYTHONPATH=src python benchmarks/bench_ctest.py --out BENCH_ctest.json
+    PYTHONPATH=src:. python benchmarks/bench_ctest.py --out BENCH_ctest.json
 
 Exit status is non-zero if the vectorized engine is less than 5x faster
 than the loop at 16x or 64x scale, or regresses at 1x.
@@ -40,6 +41,7 @@ from repro.hardware.host import PhysicalHost
 from repro.hardware.tsc import TimestampCounter
 from repro.sandbox.gvisor import GVisorSandbox
 from repro.simtime.clock import SimClock
+from tests.oracles import loop_oracle
 
 PAPER_WAVE_INSTANCES = 800  # one campaign wave's worth of CTest subjects
 SCALES = {"1x": 1, "4x": 4, "16x": 16, "64x": 64, "256x": 256}
@@ -102,7 +104,8 @@ def build_groups(n_instances: int, seed: int) -> list[list[InstanceHandle]]:
 
 def run_engine(vectorized: bool, n_instances: int, seed: int = 0):
     groups = build_groups(n_instances, seed)
-    channel = RngCovertChannel(total_rounds=TOTAL_ROUNDS, vectorized=vectorized)
+    channel_cls = RngCovertChannel if vectorized else loop_oracle(RngCovertChannel)
+    channel = channel_cls(total_rounds=TOTAL_ROUNDS)
     results = channel.ctest_batch(groups, THRESHOLD_M)
     return [result.positive for result in results]
 

@@ -12,9 +12,9 @@ table plus a NumPy seen-mask: each distinct fingerprint is assigned a dense
 integer code once, a launch becomes an ``int64`` code array, and both
 reductions (``len(footprint)`` and ``len(seen)``) are ``np.unique`` /
 boolean-mask counts.  Outputs are pure counts, so they are independent of
-``PYTHONHASHSEED`` and of fingerprint insertion order; the scalar set
-reference (:func:`census_reduce_scalar`) is kept for the twin-world and
-Hypothesis equivalence suites that pin the two paths equal.
+``PYTHONHASHSEED`` and of fingerprint insertion order.  The set
+reduction it must reproduce is a test oracle (``tests/oracles.py``) that
+the twin-world and Hypothesis equivalence suites pin this class to.
 """
 
 from __future__ import annotations
@@ -85,23 +85,3 @@ class FootprintAccumulator:
         self._seen[unique_codes[newly]] = True
         self._n_seen += int(newly.sum())
         return int(unique_codes.size), self._n_seen
-
-
-def census_reduce_scalar(
-    launches: Iterable[Iterable[Hashable]],
-) -> tuple[list[int], list[int]]:
-    """The historical set-based census reduction (scalar reference).
-
-    Returns ``(per_launch, cumulative_unique)`` for a sequence of launch
-    footprints.  The equivalence suites pin
-    :class:`FootprintAccumulator` to this byte-for-byte.
-    """
-    seen: set[Hashable] = set()
-    per_launch: list[int] = []
-    cumulative: list[int] = []
-    for launch in launches:
-        footprint = set(launch)
-        seen |= footprint
-        per_launch.append(len(footprint))
-        cumulative.append(len(seen))
-    return per_launch, cumulative

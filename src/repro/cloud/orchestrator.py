@@ -30,8 +30,8 @@ from repro.cloud.platform import PlatformProfile
 from repro.cloud.services import Service, ServiceConfig
 from repro.errors import CloudError, LaunchError
 from repro.faults import DEFAULT_LAUNCH_RETRY, FaultPlan, RetryPolicy
-from repro.fleet import HostHandle, ServiceStateStore
-from repro.sandbox.base import Sandbox, TscPolicy
+from repro.fleet import ServiceStateStore
+from repro.sandbox.base import TscPolicy
 from repro.sandbox.gvisor import GVisorSandbox
 from repro.sandbox.microvm import MicroVMSandbox
 from repro.simtime.scheduler import EventScheduler, ScheduledEvent, SequenceCounter
@@ -103,9 +103,6 @@ class Orchestrator:
         self._probe_counters: dict[str, int] = {}
         self._instance_counter = SequenceCounter()
         self._image_counter = SequenceCounter()
-        # Scalar-reference switch for the launch path (twin-world tests
-        # pin the batched path against it); production code never sets it.
-        self.force_scalar_launch = False
 
     # ------------------------------------------------------------------
     # Control plane
@@ -601,67 +598,95 @@ class Orchestrator:
         )
         chosen = self._placement.place(request, fleet)
 
+        created: list[ContainerInstance] = []
+        try:
+            self._commit_launch(service, chosen, created)
+        except LaunchError:
+            # Placement committed every chosen host's slots up front; the
+            # instances that never launched own none of it, and nothing
+            # would ever release it.
+            slots = service.config.size.slots
+            for host_index in chosen[len(created):].tolist():
+                fleet.release_load(host_index, slots)
+            raise
+        return created
+
+    def _commit_launch(
+        self,
+        service: Service,
+        chosen: np.ndarray,
+        created: list[ContainerInstance],
+    ) -> None:
+        """Launch one instance per placed host index, appending to ``created``.
+
+        Instances launch in ``chosen`` order, each taking the next instance
+        id.  A fault plan's failed launch attempt sleeps its backoff in
+        simulated time, and scheduler events firing in that sleep (idle
+        reaps, background tenants) see the committed state and draw from
+        the shared RNG.  So launches commit in *runs*: before an instance's
+        first backoff sleep, the run launched so far is committed, and
+        after its retries the instance opens the next run.  Without a fault
+        plan the whole batch is one run.  Raises :class:`LaunchError` (with
+        every instance before the failing one committed) when an instance
+        exhausts its retries.
+        """
+        plan = self.fault_plan
+        qualified = service.qualified_name
         now = self.clock.now()
-        state_index = self._svc_state.ensure(qualified)
-        created = []
-        # Hot loop: operate on the columns directly (equivalent to a
-        # HostHandle per instance, minus the per-instance cursor objects).
-        ids = fleet.ids
-        counts = fleet.service_counts(qualified)
-        service_list = self._service_instances.setdefault(qualified, [])
-
-        if self.fault_plan is None and not self.force_scalar_launch:
-            # Batched launch path.  Without a fault plan, _attempt_launch
-            # is a no-op, so the loop's only RNG consumption is the
-            # per-instance sandbox seed — and one vector draw of size n
-            # consumes the identical stream as n scalar `integers(2**63)`
-            # draws (power-of-two bound takes the Lemire-free mask path;
-            # pinned by the twin-world launch tests).  Count and state
-            # bookkeeping never feed the RNG, so committing them as one
-            # add_at / on_created(count=n) is identity-safe.
-            seeds = self._rng.integers(2**63, size=chosen.size)
-            counts.add_at(chosen)
-            self._svc_state.on_created(state_index, count=int(chosen.size))
-            host_of = self.datacenter.host
-            cls = (
-                GVisorSandbox
-                if self._generation(service) == "gen1"
-                else MicroVMSandbox
-            )
-            for host_index, seed in zip(chosen.tolist(), seeds.tolist()):
-                host_id = ids[host_index]
-                instance_id = f"{qualified}#{next(self._instance_counter):07d}"
-                sandbox = cls(
-                    host_of(host_id),
-                    self.clock,
-                    np.random.default_rng(seed),
-                    instance_id,
-                    tsc_policy=self.tsc_policy,
-                )
-                instance = ContainerInstance(
-                    instance_id=instance_id,
-                    service=service,
-                    host_id=host_id,
-                    sandbox=sandbox,
-                    created_at=now,
-                )
-                self.instances[instance_id] = instance
-                self._billed_seconds[instance_id] = 0.0
-                service_list.append(instance)
-                created.append(instance)
-            return created
-
-        # Scalar reference path: a fault plan can abort the loop mid-way
-        # (LaunchError) or sleep simulated time between launches, so each
-        # instance must draw its sandbox seed individually — batching the
-        # draws would desynchronize the stream on the first failed launch.
-        for host_index in chosen:
-            index = int(host_index)
-            host_id = ids[index]
+        instance_ids: list[str] = []
+        run_start = 0
+        for k in range(chosen.size):
             instance_id = f"{qualified}#{next(self._instance_counter):07d}"
-            self._attempt_launch(instance_id)
-            counts.inc(index)
-            sandbox = self._make_sandbox(service, host_id, instance_id)
+            instance_ids.append(instance_id)
+            if plan is not None and plan.launch_fails(instance_id, 0):
+                self._commit_run(
+                    service, chosen[run_start:k], instance_ids[run_start:k], now, created
+                )
+                run_start = k
+                self._retry_launch(instance_id)
+        self._commit_run(
+            service, chosen[run_start:], instance_ids[run_start:], now, created
+        )
+
+    def _commit_run(
+        self,
+        service: Service,
+        hosts: np.ndarray,
+        instance_ids: list[str],
+        now: float,
+        created: list[ContainerInstance],
+    ) -> None:
+        """Commit one run of launched instances.
+
+        One vector draw of n sandbox seeds consumes the identical stream as
+        n scalar ``integers(2**63)`` draws (a power-of-two bound takes the
+        mask path; pinned by the twin-world launch tests against the
+        per-instance oracle).  Count and state bookkeeping never feed the
+        RNG, so committing them as one ``add_at`` / ``on_created(count=n)``
+        is identity-safe.
+        """
+        n = len(instance_ids)
+        if n == 0:
+            return
+        qualified = service.qualified_name
+        seeds = self._rng.integers(2**63, size=n)
+        self.fleet.service_counts(qualified).add_at(hosts)
+        self._svc_state.on_created(self._svc_state.ensure(qualified), count=n)
+        ids = self.fleet.ids
+        host_of = self.datacenter.host
+        cls = GVisorSandbox if self._generation(service) == "gen1" else MicroVMSandbox
+        service_list = self._service_instances.setdefault(qualified, [])
+        for host_index, instance_id, seed in zip(
+            hosts.tolist(), instance_ids, seeds.tolist()
+        ):
+            host_id = ids[host_index]
+            sandbox = cls(
+                host_of(host_id),
+                self.clock,
+                np.random.default_rng(seed),
+                instance_id,
+                tsc_policy=self.tsc_policy,
+            )
             instance = ContainerInstance(
                 instance_id=instance_id,
                 service=service,
@@ -672,22 +697,18 @@ class Orchestrator:
             self.instances[instance_id] = instance
             self._billed_seconds[instance_id] = 0.0
             service_list.append(instance)
-            self._svc_state.on_created(state_index)
             created.append(instance)
-        return created
 
-    def _attempt_launch(self, instance_id: str) -> None:
-        """Survive injected launch failures with bounded retry-with-backoff.
+    def _retry_launch(self, instance_id: str) -> None:
+        """Retry a launch whose first attempt failed, with bounded backoff.
 
         Each failed attempt sleeps the policy's backoff in simulated time
         before retrying; the fault plan keys its decision on the attempt
         number, so a retry is a genuinely new draw.  Raises
         :class:`LaunchError` once the retry budget is exhausted.
         """
-        if self.fault_plan is None:
-            return
         attempt = 0
-        while self.fault_plan.launch_fails(instance_id, attempt):
+        while True:
             if attempt >= self.retry_policy.max_retries:
                 raise LaunchError(
                     f"instance {instance_id!r} failed to launch after "
@@ -697,6 +718,8 @@ class Orchestrator:
             self.fault_plan.counters.launch_retries += 1
             current_telemetry().count("faults.launch_retries")
             attempt += 1
+            if not self.fault_plan.launch_fails(instance_id, attempt):
+                return
 
     def _generation(self, service: Service) -> str:
         """A service's effective sandbox generation under the platform."""
@@ -704,12 +727,6 @@ class Orchestrator:
         if self.platform is not None:
             generation = self.platform.generation_for(generation)
         return generation
-
-    def _make_sandbox(self, service: Service, host_id: str, instance_id: str) -> Sandbox:
-        host = self.datacenter.host(host_id)
-        sandbox_rng = np.random.default_rng(self._rng.integers(2**63))
-        cls = GVisorSandbox if self._generation(service) == "gen1" else MicroVMSandbox
-        return cls(host, self.clock, sandbox_rng, instance_id, tsc_policy=self.tsc_policy)
 
     #: Gen 2 microVMs have a larger resource footprint and boot slower
     #: than Gen 1 containers (paper §2.3).

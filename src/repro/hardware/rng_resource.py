@@ -224,8 +224,5 @@ class ContentionResource:
         return levels
 
 
-#: Historical name of :class:`ContentionResource`, kept as an alias (not a
-#: subclass: the vectorized CTest engine proves stream identity by comparing
-#: ``type(resource).observe`` against this class's methods, and an alias
-#: keeps every existing identity check true by construction).
+#: Historical name of :class:`ContentionResource`, kept as an alias.
 RngContentionResource = ContentionResource

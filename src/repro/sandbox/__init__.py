@@ -14,7 +14,7 @@ Cloud Run offers two sandbox generations (paper §2.3):
 Guest probe programs (see :mod:`repro.core.probes`) run against the common
 :class:`~repro.sandbox.base.Sandbox` interface.  Neither generation
 virtualizes the shared-hardware contention surface, so the covert-channel
-ports (:class:`~repro.sandbox.base.ChannelPort`) used by the vectorized
+ports (:class:`~repro.sandbox.base.ChannelPort`) used by the batched
 CTest engine are generation-independent.
 """
 

@@ -5,10 +5,14 @@ only worth having if a run under injected platform noise converges to the
 same *answer* as a clean run — these tests pin that end to end.
 """
 
+import numpy as np
+import pytest
+
 from repro.core.covert import RngCovertChannel
 from repro.core.verification import ScalableVerifier, TaggedInstance
 from repro.core.fingerprint import fingerprint_gen1_instances
 from repro.cloud.services import ServiceConfig
+from repro.errors import LaunchError
 from repro.experiments.launch_behavior import _distribution_cell
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.runner import CellSpec, RunnerConfig, run_cells
@@ -77,6 +81,29 @@ class TestLaunchFaultRecovery:
         assert plan.counters.launch_errors > 0
         assert plan.counters.launch_retries > 0
         assert plan.counters.slow_launches > 0
+
+    @pytest.mark.parametrize("client_retry", [True, False], ids=["client-retry", "no-retry"])
+    def test_launch_error_releases_unlaunched_load(self, tiny_env_factory, client_retry):
+        """Placement commits load for the whole batch before any launch;
+        when an instance exhausts its retries, the load of every instance
+        that never launched must be released with the error."""
+        plan = FaultPlan(FaultSpec(launch_error_rate=0.6, seed=3))
+        env = tiny_env_factory(seed=5, fault_plan=plan)
+        client = env.attacker
+        if not client_retry:
+            client.retry_policy = None
+        service = client.deploy(ServiceConfig(name="svc"))
+        with pytest.raises(LaunchError):
+            client.connect(service, 20)
+        orch = env.orchestrator
+        expected = np.zeros_like(orch.fleet.load_slots)
+        alive = [i for i in orch.instances.values() if i.alive]
+        for instance in alive:
+            expected[orch.fleet.index_of(instance.host_id)] += (
+                instance.service.config.size.slots
+            )
+        assert alive
+        np.testing.assert_allclose(orch.fleet.load_slots, expected)
 
     def test_slow_launches_cost_wall_time_only(self, tiny_env_factory):
         clean_env = tiny_env_factory(seed=9)

@@ -1,0 +1,170 @@
+"""Scalar reference engines, kept as test oracles.
+
+``src/`` has one engine per layer.  The historical scalar implementations
+live here instead, and the twin-world suites pin production against them:
+same verdicts, hit counts, RNG end states, placements, and counts.
+
+* :func:`loop_oracle` — a covert channel whose test window runs the
+  per-round loop (one probe round-trip per instance per round) instead of
+  the batched ``observe_rounds`` engine.
+* :func:`use_scalar_launch` — an orchestrator whose launch commit runs the
+  per-instance loop (one seed draw, count increment, and retry loop per
+  instance) instead of committing runs.
+* :func:`census_reduce_scalar` — the set-based census reduction that
+  :class:`~repro.analysis.aggregation.FootprintAccumulator` replaces.
+"""
+
+from __future__ import annotations
+
+import functools
+from typing import Hashable, Iterable, Sequence
+
+import numpy as np
+
+from repro.cloud.api import InstanceHandle
+from repro.cloud.instance import ContainerInstance
+from repro.cloud.orchestrator import Orchestrator
+from repro.cloud.services import Service
+from repro.core.covert import RngCovertChannel
+from repro.errors import InstanceGoneError, LaunchError
+from repro.sandbox.gvisor import GVisorSandbox
+from repro.sandbox.microvm import MicroVMSandbox
+from repro.telemetry import current_telemetry
+
+
+# ----------------------------------------------------------------------
+# CTest: the per-round window loop
+# ----------------------------------------------------------------------
+class LoopWindowOracle:
+    """Mixin: replaces a channel's window observer with the per-round loop.
+
+    Each round visits the instances in flat order; an instance reaching
+    its fault-injected death round stops its pressure and observes no
+    more, and an instance found gone is marked dead.
+    """
+
+    def _observe_round(self, sandbox) -> int:
+        return sandbox.observe_channel_contention(self.kind)
+
+    def _observe_window(
+        self,
+        flat: Sequence[InstanceHandle],
+        dead: set[str],
+        death_round: dict[str, int],
+        threshold_of: dict[str, int],
+    ) -> dict[str, int]:
+        hits = {handle.instance_id: 0 for handle in flat}
+        for round_index in range(self.total_rounds):
+            for handle in flat:
+                instance_id = handle.instance_id
+                if instance_id in dead:
+                    continue
+                if death_round.get(instance_id) == round_index:
+                    dead.add(instance_id)
+                    try:
+                        handle.run(self._stop)
+                    except InstanceGoneError:
+                        pass
+                    continue
+                try:
+                    level = handle.run(self._observe_round)
+                except InstanceGoneError:
+                    dead.add(instance_id)
+                    continue
+                if level >= threshold_of[instance_id]:
+                    hits[instance_id] += 1
+        return hits
+
+
+@functools.cache
+def loop_oracle(channel_cls: type[RngCovertChannel]) -> type[RngCovertChannel]:
+    """``channel_cls`` with its test window run by the per-round loop."""
+    return type(f"Loop{channel_cls.__name__}", (LoopWindowOracle, channel_cls), {})
+
+
+# ----------------------------------------------------------------------
+# Launch commit: the per-instance loop
+# ----------------------------------------------------------------------
+class ScalarLaunchOrchestrator(Orchestrator):
+    """An orchestrator whose launch commit is the per-instance loop."""
+
+    def _commit_launch(
+        self,
+        service: Service,
+        chosen: np.ndarray,
+        created: list[ContainerInstance],
+    ) -> None:
+        fleet = self.fleet
+        qualified = service.qualified_name
+        now = self.clock.now()
+        state_index = self._svc_state.ensure(qualified)
+        counts = fleet.service_counts(qualified)
+        service_list = self._service_instances.setdefault(qualified, [])
+        cls = GVisorSandbox if self._generation(service) == "gen1" else MicroVMSandbox
+        for host_index in chosen.tolist():
+            host_id = fleet.ids[host_index]
+            instance_id = f"{qualified}#{next(self._instance_counter):07d}"
+            self._attempt_launch(instance_id)
+            counts.inc(host_index)
+            sandbox = cls(
+                self.datacenter.host(host_id),
+                self.clock,
+                np.random.default_rng(self._rng.integers(2**63)),
+                instance_id,
+                tsc_policy=self.tsc_policy,
+            )
+            instance = ContainerInstance(
+                instance_id=instance_id,
+                service=service,
+                host_id=host_id,
+                sandbox=sandbox,
+                created_at=now,
+            )
+            self.instances[instance_id] = instance
+            self._billed_seconds[instance_id] = 0.0
+            service_list.append(instance)
+            self._svc_state.on_created(state_index)
+            created.append(instance)
+
+    def _attempt_launch(self, instance_id: str) -> None:
+        plan = self.fault_plan
+        if plan is None:
+            return
+        attempt = 0
+        while plan.launch_fails(instance_id, attempt):
+            if attempt >= self.retry_policy.max_retries:
+                raise LaunchError(
+                    f"instance {instance_id!r} failed to launch after "
+                    f"{attempt + 1} attempts"
+                )
+            self.clock.sleep(self.retry_policy.backoff(attempt))
+            plan.counters.launch_retries += 1
+            current_telemetry().count("faults.launch_retries")
+            attempt += 1
+
+
+def use_scalar_launch(orchestrator: Orchestrator) -> None:
+    """Switch an already-built orchestrator to the per-instance launch loop."""
+    orchestrator.__class__ = ScalarLaunchOrchestrator
+
+
+# ----------------------------------------------------------------------
+# Census aggregation: the set reduction
+# ----------------------------------------------------------------------
+def census_reduce_scalar(
+    launches: Iterable[Iterable[Hashable]],
+) -> tuple[list[int], list[int]]:
+    """The set-based census reduction.
+
+    Returns ``(per_launch, cumulative_unique)`` for a sequence of launch
+    footprints.
+    """
+    seen: set[Hashable] = set()
+    per_launch: list[int] = []
+    cumulative: list[int] = []
+    for launch in launches:
+        footprint = set(launch)
+        seen |= footprint
+        per_launch.append(len(footprint))
+        cumulative.append(len(seen))
+    return per_launch, cumulative

@@ -2,14 +2,14 @@
 
 Two guarantees per kind:
 
-* **engine identity** — the scalar loop and the batched ``observe_rounds``
-  engine produce identical verdicts, hits, RNG end states, and pressurer
-  sets for every registered kind (the per-kind generalization of the RNG
-  twin-world suite);
-* **refactor identity** — the generic kind-routed hooks
-  (``channel_port(kind)`` / ``observe_channel_contention``) reproduce the
-  historical per-kind hook wiring (``rng_channel_port`` /
-  ``observe_rng_contention`` and the bus equivalents) byte-for-byte.
+* **engine identity** — the per-round loop oracle and the batched
+  ``observe_rounds`` engine produce identical verdicts, hits, RNG end
+  states, and pressurer sets for every registered kind (the per-kind
+  generalization of the RNG twin-world suite);
+* **refactor identity** — the generic kind-routed surface
+  (``start/stop/observe_channel_contention(kind)``) reproduces the
+  historical per-kind wiring (the host's ``rng_resource`` /
+  ``memory_bus`` attributes) byte-for-byte.
 """
 
 from __future__ import annotations
@@ -19,51 +19,41 @@ import pytest
 from repro.core.covert import COVERT_CHANNEL_CLASSES, MemoryBusCovertChannel, RngCovertChannel
 from repro.faults import FaultPlan, FaultSpec
 from repro.sandbox.base import ChannelPort
-from tests.unit.test_ctest_vectorized import launch, run_twin_worlds
+from tests.oracles import loop_oracle
+from tests.unit.test_ctest_vectorized import launch, run_twin_worlds, run_world
 
 KINDS = tuple(COVERT_CHANNEL_CLASSES)
 
 
-class LegacyRngChannel(RngCovertChannel):
-    """The pre-registry hook wiring: static per-kind sandbox methods.
-
-    Overriding the hooks knocks the class off the vector-safe set, so it
-    runs the scalar loop — the original reference semantics.
-    """
+class LegacyRngChannel(loop_oracle(RngCovertChannel)):
+    """The pre-registry wiring: the per-round loop against the host's
+    ``rng_resource`` attribute directly."""
 
     @staticmethod
     def _start(sandbox) -> None:
-        sandbox.start_rng_pressure()
+        sandbox._host.rng_resource.start_pressure(sandbox.sandbox_id)
 
     @staticmethod
-    def _observe(sandbox) -> int:
-        return sandbox.observe_rng_contention()
+    def _observe_round(sandbox) -> int:
+        return sandbox._host.rng_resource.observe(sandbox.sandbox_id, sandbox._rng)
 
     @staticmethod
     def _stop(sandbox) -> None:
-        sandbox.stop_rng_pressure()
-
-    @staticmethod
-    def _port(sandbox) -> ChannelPort | None:
-        return sandbox.rng_channel_port()
+        sandbox._host.rng_resource.stop_pressure(sandbox.sandbox_id)
 
 
-class LegacyBusChannel(MemoryBusCovertChannel):
+class LegacyBusChannel(loop_oracle(MemoryBusCovertChannel)):
     @staticmethod
     def _start(sandbox) -> None:
-        sandbox.start_bus_pressure()
+        sandbox._host.memory_bus.start_pressure(sandbox.sandbox_id)
 
     @staticmethod
-    def _observe(sandbox) -> int:
-        return sandbox.observe_bus_contention()
+    def _observe_round(sandbox) -> int:
+        return sandbox._host.memory_bus.observe(sandbox.sandbox_id, sandbox._rng)
 
     @staticmethod
     def _stop(sandbox) -> None:
-        sandbox.stop_bus_pressure()
-
-    @staticmethod
-    def _port(sandbox) -> ChannelPort | None:
-        return sandbox.bus_channel_port()
+        sandbox._host.memory_bus.stop_pressure(sandbox.sandbox_id)
 
 
 @pytest.mark.parametrize("seed", (11, 12, 13))
@@ -93,73 +83,26 @@ def test_generic_hooks_match_legacy_hooks(
     tiny_env_factory, generic_cls, legacy_cls, seed
 ):
     """Kind-routed hooks reproduce the historical static wiring exactly."""
-    generic = run_twin_worlds(
-        tiny_env_factory,
+    shape = dict(
         seed=seed,
         n_instances=6,
         group_size=3,
         threshold=2,
         plan_factory=lambda: None,
-        channel_cls=generic_cls,
     )
-    legacy = run_twin_worlds(
-        tiny_env_factory,
-        seed=seed,
-        n_instances=6,
-        group_size=3,
-        threshold=2,
-        plan_factory=lambda: None,
-        channel_cls=legacy_cls,
-        expect_batched=False,  # overridden hooks fall back to the loop
-    )
-    # run_twin_worlds already proved loop==batched inside each call; this
-    # pins the two wirings to the same observation dicts across calls.
-    assert generic[0] == legacy[0]
+    generic = run_twin_worlds(tiny_env_factory, channel_cls=generic_cls, **shape)
+    legacy = run_world(tiny_env_factory, legacy_cls, **shape)
+    # run_twin_worlds already proved loop==batched for the generic wiring;
+    # this pins the historical wiring to the same observations.
+    assert generic[0] == legacy
 
 
-def test_channel_port_shims_are_equivalent(tiny_env):
+def test_channel_port_resolves_every_kind(tiny_env):
     handle = launch(tiny_env, 1)[0]
     sandbox = handle._instance.sandbox
-    assert sandbox.rng_channel_port() == sandbox.channel_port("rng")
-    assert sandbox.bus_channel_port() == sandbox.channel_port("bus")
-    llc_port = sandbox.channel_port("llc")
-    assert llc_port is not None
-    assert llc_port.resource is sandbox._host.channel_resource("llc")
-    assert llc_port.rng is sandbox._rng
-
-
-def test_legacy_override_blocks_generic_port_for_that_kind_only(tiny_env):
-    handle = launch(tiny_env, 1)[0]
-    sandbox = handle._instance.sandbox
-
-    class CustomSandbox(type(sandbox)):
-        def observe_bus_contention(self):
-            return 99
-
-    custom = CustomSandbox(
-        host=sandbox._host,
-        clock=sandbox._clock,
-        rng=sandbox._rng,
-        sandbox_id="custom",
-    )
-    assert custom.channel_port("bus") is None
-    assert custom.channel_port("rng") is not None
-    assert custom.channel_port("llc") is not None
-
-
-def test_generic_observe_override_blocks_every_port(tiny_env):
-    handle = launch(tiny_env, 1)[0]
-    sandbox = handle._instance.sandbox
-
-    class CustomSandbox(type(sandbox)):
-        def observe_channel_contention(self, kind):
-            return 99
-
-    custom = CustomSandbox(
-        host=sandbox._host,
-        clock=sandbox._clock,
-        rng=sandbox._rng,
-        sandbox_id="custom",
-    )
+    assert sandbox.channel_port("rng").resource is sandbox._host.rng_resource
+    assert sandbox.channel_port("bus").resource is sandbox._host.memory_bus
     for kind in KINDS:
-        assert custom.channel_port(kind) is None
+        assert sandbox.channel_port(kind) == ChannelPort(
+            sandbox._host.channel_resource(kind), sandbox.sandbox_id, sandbox._rng
+        )

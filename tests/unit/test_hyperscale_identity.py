@@ -1,41 +1,38 @@
 """Twin-world identity suite for the hyperscale batched paths.
 
-PR 8 vectorized three more layers: the orchestrator launch path (vector
-sandbox-seed draws plus batched count commits), the helper-host recruiter
-(gathered id resolution), and the census aggregation
+Three layers run batched: the orchestrator launch commit (vector
+sandbox-seed draws plus batched count commits, in runs split at fault
+backoff sleeps), the helper-host recruiter (gathered id resolution), and
+the census aggregation
 (:class:`~repro.analysis.aggregation.FootprintAccumulator`).  Each test
 here builds two byte-identical worlds from one seed, runs the scalar
-reference in one and the batched engine in the other, and pins placements,
-sandbox RNG end states, the orchestrator RNG end state, service-count
-columns, and load columns exactly equal — the same contract the golden
-traces enforce end-to-end, exercised over a seed x shape matrix that
-includes mid-campaign instance deaths, ``InstanceGoneError`` handling, and
-fault-injected launch failures (where the batched path must fall back to
-the scalar loop on both sides).
+oracle (:mod:`tests.oracles`) in one and the production engine in the
+other, and pins placements, sandbox RNG end states, the orchestrator RNG
+end state, service-count columns, load columns, and fault counters
+exactly equal — the same contract the golden traces enforce end-to-end,
+exercised over a seed x shape matrix that includes mid-campaign instance
+deaths, ``InstanceGoneError`` handling, fault-injected launch retries
+(with background tenants firing inside the backoff sleeps), and launches
+that exhaust their retries.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.analysis.aggregation import FootprintAccumulator, census_reduce_scalar
+from repro.analysis.aggregation import FootprintAccumulator
 from repro.cloud.loadbalancer import HelperHostRecruiter
 from repro.cloud.services import Service, ServiceConfig
-from repro.errors import InstanceGoneError
-from repro.faults import FaultPlan, FaultSpec
+from repro.cloud.traffic import TrafficConfig
+from repro.errors import InstanceGoneError, LaunchError
+from repro.experiments.base import default_env
+from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.fleet import FleetStore
-
-
-def forbid_scalar_launch(orchestrator) -> None:
-    """Make the orchestrator fail loudly if the batched launch path
-    falls back to the scalar loop (only the scalar loop calls
-    ``_attempt_launch``)."""
-
-    def fail(*_args, **_kwargs):  # pragma: no cover - only on regression
-        pytest.fail("batched launch path fell back to the scalar loop")
-
-    orchestrator._attempt_launch = fail
+from tests.conftest import tiny_profile
+from tests.oracles import census_reduce_scalar, use_scalar_launch
 
 
 def orch_rng_state(env) -> str:
@@ -47,16 +44,28 @@ def sandbox_rng_state(handle) -> str:
 
 
 def run_campaign(
-    env, *, n, launches, kill_mid=False, idle_deaths=False, max_instances=100
+    env,
+    *,
+    n,
+    launches,
+    kill_mid=False,
+    idle_deaths=False,
+    max_instances=100,
+    client_retry=True,
 ):
     """One deploy/connect/disconnect campaign; returns its observable state.
 
     ``idle_deaths`` waits into the idle-reap window between launches so
     later launches top up a partially dead fleet; ``kill_mid`` terminates
     one instance directly and asserts the handle raises
-    ``InstanceGoneError`` afterwards.
+    ``InstanceGoneError`` afterwards.  A ``connect`` that exhausts its
+    launch retries is recorded and the campaign goes on;
+    ``client_retry=False`` drops the client's own retry policy so the
+    first platform ``LaunchError`` reaches the campaign.
     """
     client = env.clients["account-1"]
+    if not client_retry:
+        client.retry_policy = None
     orch = env.orchestrator
     profile = env.datacenter.profile
     name = client.deploy(ServiceConfig(name="svc", max_instances=max_instances))
@@ -64,9 +73,14 @@ def run_campaign(
 
     hosts_per_launch = []
     gone_raised = 0
+    launch_errors = 0
     last_handles = []
     for launch_round in range(launches):
-        handles = client.connect(name, n)
+        try:
+            handles = client.connect(name, n)
+        except LaunchError:
+            launch_errors += 1
+            handles = []
         hosts_per_launch.append(
             [orch.true_host_of(h.instance_id) for h in handles]
         )
@@ -86,9 +100,13 @@ def run_campaign(
             else:
                 client.wait(profile.idle_grace / 2)
 
+    plan = orch.fault_plan
     return {
         "hosts": hosts_per_launch,
         "gone_raised": gone_raised,
+        "launch_errors": launch_errors,
+        "fault_counters": None if plan is None else dataclasses.asdict(plan.counters),
+        "alive": sorted(i for i, inst in orch.instances.items() if inst.alive),
         "sandbox_states": {
             h.instance_id: sandbox_rng_state(h)
             for h in last_handles
@@ -98,86 +116,107 @@ def run_campaign(
         "service_counts": orch.fleet.service_counts(qualified).tolist(),
         "load": orch.fleet.load_slots.tolist(),
         "clock": orch.clock.now(),
+        "background": (
+            None if env.background is None else dataclasses.asdict(env.background.stats)
+        ),
     }
 
 
 def run_twin_launch_worlds(
-    tiny_env_factory, seed, *, fault_plan_factory=None, **campaign_kwargs
+    env_factory, seed, *, fault_plan_factory=None, **campaign_kwargs
 ):
-    """Scalar-reference launch world vs batched launch world."""
+    """Scalar-oracle launch world vs production launch world."""
     worlds = {}
-    for label, scalar in (("scalar", True), ("batched", False)):
-        env = tiny_env_factory(
+    for label in ("scalar", "batched"):
+        env = env_factory(
             seed=seed,
             fault_plan=None if fault_plan_factory is None else fault_plan_factory(),
         )
-        env.orchestrator.force_scalar_launch = scalar
-        if not scalar and fault_plan_factory is None:
-            forbid_scalar_launch(env.orchestrator)
+        if label == "scalar":
+            use_scalar_launch(env.orchestrator)
         worlds[label] = run_campaign(env, **campaign_kwargs)
     assert worlds["scalar"] == worlds["batched"]
     return worlds["scalar"]
 
 
-# 4 seeds x 4 shapes = 16 identity cases (the PR's pinned matrix): a
-# single clean wave, a reconnect campaign with mid-campaign idle deaths, a
-# campaign with a killed instance (InstanceGoneError on both paths), and a
-# fault-injected campaign where launches fail and retry (the batched path
-# must decline and run the scalar loop on both sides).
+def background_env(seed, fault_plan):
+    """A tiny region with live background tenants whose evaluation events
+    fire every simulated second — inside any launch backoff sleep.  Their
+    scale-outs draw placement tiebreaks and sandbox seeds from the
+    orchestrator's shared RNG between the foreground's launches."""
+    return default_env(
+        profile=tiny_profile(),
+        seed=seed,
+        fault_plan=fault_plan,
+        retry_policy=RetryPolicy(max_retries=3, backoff_seconds=2.0),
+        background=TrafficConfig(
+            n_tenants=8,
+            seed=seed,
+            evaluation_period_s=4.0,
+            phase_groups=4,
+            mean_concurrency=1.5,
+            max_instances=4,
+        ),
+    )
+
+
+# 4 seeds x 7 shapes = 28 identity cases: a single clean wave, a
+# reconnect campaign with mid-campaign idle deaths, a campaign with a
+# killed instance (InstanceGoneError on both paths), a fault-injected
+# campaign where launches fail and retry, the same with background
+# tenants scaling inside the backoff sleeps, and launches that exhaust
+# their retries with and without the client's retry policy.
 LAUNCH_SHAPES = [
-    pytest.param(dict(n=12, launches=1), None, id="single-wave"),
+    pytest.param(dict(n=12, launches=1), None, None, id="single-wave"),
     pytest.param(
-        dict(n=10, launches=3, idle_deaths=True), None, id="idle-deaths"
+        dict(n=10, launches=3, idle_deaths=True), None, None, id="idle-deaths"
     ),
     pytest.param(
-        dict(n=8, launches=2, kill_mid=True), None, id="killed-instance"
+        dict(n=8, launches=2, kill_mid=True), None, None, id="killed-instance"
     ),
     pytest.param(
         dict(n=10, launches=2),
         lambda seed: FaultPlan(FaultSpec(launch_error_rate=0.2, seed=seed)),
+        None,
         id="faulty-launches",
+    ),
+    pytest.param(
+        dict(n=10, launches=3, background=True),
+        lambda seed: FaultPlan(FaultSpec(launch_error_rate=0.3, seed=seed)),
+        lambda world: (
+            world["fault_counters"]["launch_retries"] > 0
+            and world["background"]["scale_outs"] > 0
+        ),
+        id="faulty-launches-live-background",
+    ),
+    pytest.param(
+        dict(n=20, launches=3),
+        lambda seed: FaultPlan(FaultSpec(launch_error_rate=0.7, seed=seed)),
+        lambda world: world["launch_errors"] > 0,
+        id="exhausted-retries-client-retry",
+    ),
+    pytest.param(
+        dict(n=20, launches=3, client_retry=False),
+        lambda seed: FaultPlan(FaultSpec(launch_error_rate=0.7, seed=seed)),
+        lambda world: world["launch_errors"] > 0,
+        id="exhausted-retries-no-client-retry",
     ),
 ]
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13, 14])
-@pytest.mark.parametrize("shape,plan", LAUNCH_SHAPES)
-def test_launch_identity_matrix(tiny_env_factory, seed, shape, plan):
-    run_twin_launch_worlds(
-        tiny_env_factory,
+@pytest.mark.parametrize("shape,plan,exercised", LAUNCH_SHAPES)
+def test_launch_identity_matrix(tiny_env_factory, seed, shape, plan, exercised):
+    shape = dict(shape)
+    factory = background_env if shape.pop("background", False) else tiny_env_factory
+    world = run_twin_launch_worlds(
+        factory,
         seed,
         fault_plan_factory=None if plan is None else (lambda: plan(seed)),
         **shape,
     )
-
-
-def test_batched_launch_engages_without_fault_plan(tiny_env_factory):
-    """Guard against silently losing the fast path: a clean environment
-    must never enter the scalar launch loop."""
-    env = tiny_env_factory(seed=21)
-    forbid_scalar_launch(env.orchestrator)
-    client = env.clients["account-1"]
-    name = client.deploy(ServiceConfig(name="svc"))
-    assert len(client.connect(name, 15)) == 15
-
-
-def test_fault_plan_forces_scalar_launch(tiny_env_factory):
-    """With a fault plan installed, identity is not provable (a mid-batch
-    LaunchError truncates the seed-draw sequence), so the orchestrator
-    must take the scalar loop."""
-    env = tiny_env_factory(
-        seed=22,
-        fault_plan=FaultPlan(FaultSpec(launch_error_rate=0.3, seed=22)),
-    )
-    calls = []
-    original = env.orchestrator._attempt_launch
-    env.orchestrator._attempt_launch = lambda iid: (
-        calls.append(iid), original(iid)
-    )[1]
-    client = env.clients["account-1"]
-    name = client.deploy(ServiceConfig(name="svc"))
-    client.connect(name, 6)
-    assert len(calls) == 6
+    # The shape must actually reach the path it exists to cover.
+    assert exercised is None or exercised(world)
 
 
 class TestRecruiterIdentity:
