@@ -34,6 +34,7 @@ from repro.fleet import ServiceStateStore
 from repro.sandbox.base import TscPolicy
 from repro.sandbox.gvisor import GVisorSandbox
 from repro.sandbox.microvm import MicroVMSandbox
+from repro.sandbox.seeding import sandbox_generators
 from repro.simtime.scheduler import EventScheduler, ScheduledEvent, SequenceCounter
 from repro.telemetry import current_telemetry
 
@@ -213,8 +214,7 @@ class Orchestrator:
                 target=target,
             ) as span:
                 active = self._active_list(service)
-                for instance in active[target:]:
-                    self._idle_out(instance, now)
+                self._idle_out_many(service, active[target:], now)
                 span.set(idled=active_n - target)
                 telemetry.count("orchestrator.scale_ins")
                 self._demand.record_demand(service, now, target)
@@ -300,34 +300,48 @@ class Orchestrator:
         between ``idle_grace`` and ``idle_deadline`` after disconnecting,
         reproducing the gradual decay of Fig. 6.
         """
-        now = self.clock.now()
-        for instance in self.alive_instances(service):
-            if instance.state is InstanceState.ACTIVE:
-                self._idle_out(instance, now)
+        self._idle_out_many(service, self._active_list(service), self.clock.now())
 
-    def _idle_out(self, instance: ContainerInstance, now: float) -> None:
-        """Idle one instance and schedule its eventual termination."""
+    def _idle_out_many(
+        self, service: Service, instances: list[ContainerInstance], now: float
+    ) -> None:
+        """Idle active instances of ``service`` and schedule each one's reap.
+
+        One vector draw of n deadlines consumes the identical stream as n
+        scalar ``uniform`` draws, and nothing else in the loop draws from
+        the shared RNG (pinned by the twin-world idle-out tests against
+        the per-instance oracle).  State counts never feed an RNG, so they
+        commit as one ``on_idled(count=n)``.
+        """
+        n = len(instances)
+        if n == 0:
+            return
         profile = self.datacenter.profile
-        instance.go_idle(now)
-        self._svc_state.on_idled(
-            self._svc_state.ensure(instance.service.qualified_name)
-        )
-        self._settle_billing(instance)
         idle_grace, idle_deadline = profile.idle_grace, profile.idle_deadline
         if self.platform is not None:
             idle_grace, idle_deadline = self.platform.idle_window(
                 idle_grace, idle_deadline
             )
-        stream = self._idle_streams.get(instance.service.qualified_name)
+        qualified = service.qualified_name
+        state = self._svc_state
+        index = state.ensure(qualified)
+        stream = self._idle_streams.get(qualified)
         if stream is None:
-            deadline = now + self._rng.uniform(idle_grace, idle_deadline)
+            deadlines = (now + self._rng.uniform(idle_grace, idle_deadline, size=n)).tolist()
         else:
-            # Hashed per-instance draw: order-independent, and consumes
+            # Hashed per-instance draws: order-independent, and consume
             # nothing from the shared RNG, so interleaved background
             # tenants cannot perturb foreground draw sequences.
             span_s = idle_deadline - idle_grace
-            deadline = now + idle_grace + stream(instance.instance_id) * span_s
-        self._schedule_idle_reap(instance, idle_epoch=instance.last_active_at, when=deadline)
+            deadlines = [
+                now + idle_grace + stream(instance.instance_id) * span_s
+                for instance in instances
+            ]
+        for instance, deadline in zip(instances, deadlines):
+            instance.go_idle(now)
+            self._settle_billing(instance)
+            self._schedule_idle_reap(instance, index, when=deadline)
+        state.on_idled(index, count=n)
 
     def set_idle_deadline_stream(
         self, service: Service, stream: Callable[[str], float] | None
@@ -676,14 +690,14 @@ class Orchestrator:
         host_of = self.datacenter.host
         cls = GVisorSandbox if self._generation(service) == "gen1" else MicroVMSandbox
         service_list = self._service_instances.setdefault(qualified, [])
-        for host_index, instance_id, seed in zip(
-            hosts.tolist(), instance_ids, seeds.tolist()
+        for host_index, instance_id, rng in zip(
+            hosts.tolist(), instance_ids, sandbox_generators(seeds)
         ):
             host_id = ids[host_index]
             sandbox = cls(
                 host_of(host_id),
                 self.clock,
-                np.random.default_rng(seed),
+                rng,
                 instance_id,
                 tsc_policy=self.tsc_policy,
             )
@@ -745,12 +759,13 @@ class Orchestrator:
         return seconds
 
     def _schedule_idle_reap(
-        self, instance: ContainerInstance, idle_epoch: float, when: float
+        self, instance: ContainerInstance, state_index: int, when: float
     ) -> None:
+        """Schedule the reap of an instance that just went idle."""
         # Cancel any reap left from an earlier idle period: stale timers
         # would otherwise pile up in the scheduler for the whole campaign.
         self._cancel_idle_reap(instance.instance_id)
-        reap = _IdleReap(self, instance, idle_epoch)
+        reap = _IdleReap(self, instance, state_index)
         reap.event = self.scheduler.call_at(when, reap)
         self._idle_reaps[instance.instance_id] = reap.event
 
@@ -762,11 +777,18 @@ class Orchestrator:
     def _terminate(self, instance: ContainerInstance, now: float) -> None:
         if not instance.alive:
             return
-        current_telemetry().count("orchestrator.terminations")
         self._cancel_idle_reap(instance.instance_id)
+        self._destroy(
+            instance, now, self._svc_state.ensure(instance.service.qualified_name)
+        )
+
+    def _destroy(
+        self, instance: ContainerInstance, now: float, state_index: int
+    ) -> None:
+        """Terminate a live instance that has no pending idle reap."""
+        current_telemetry().count("orchestrator.terminations")
         self._svc_state.on_terminated(
-            self._svc_state.ensure(instance.service.qualified_name),
-            was_active=instance.state is InstanceState.ACTIVE,
+            state_index, was_active=instance.state is InstanceState.ACTIVE
         )
         instance.terminate(now)
         self._settle_billing(instance)
@@ -783,9 +805,9 @@ class Orchestrator:
         handle.dec_service(instance.service.qualified_name)
 
     def _settle_billing(self, instance: ContainerInstance) -> None:
-        account = self._account(instance.service.account_id)
         owed = instance.active_seconds_total - self._billed_seconds[instance.instance_id]
         if owed > 0:
+            account = self._account(instance.service.account_id)
             size = instance.service.config.size
             account.billing.charge_active(size.vcpus, size.memory_gb, owed)
             self._billed_seconds[instance.instance_id] += owed
@@ -799,37 +821,45 @@ class _IdleReap:
     serialize pending events, and a restored reap must keep pointing at
     the restored orchestrator/instance pair.  ``event`` is backfilled
     right after scheduling so the identity check below survives the
-    round-trip too.
+    round-trip too.  The instance's ``last_active_at`` at scheduling time
+    is its idle epoch: a reused and re-idled instance is not reaped by a
+    timer from an earlier idle period.
     """
 
-    __slots__ = ("orchestrator", "instance", "idle_epoch", "event")
+    __slots__ = ("orchestrator", "instance", "idle_epoch", "state_index", "event")
 
     def __init__(
         self,
         orchestrator: Orchestrator,
         instance: ContainerInstance,
-        idle_epoch: float,
+        state_index: int,
     ) -> None:
         self.orchestrator = orchestrator
         self.instance = instance
-        self.idle_epoch = idle_epoch
+        self.idle_epoch = instance.last_active_at
+        self.state_index = state_index
         self.event: ScheduledEvent | None = None
 
     def __getstate__(self):
-        return (self.orchestrator, self.instance, self.idle_epoch, self.event)
+        return (
+            self.orchestrator, self.instance, self.idle_epoch,
+            self.state_index, self.event,
+        )
 
     def __setstate__(self, state) -> None:
-        self.orchestrator, self.instance, self.idle_epoch, self.event = state
+        (
+            self.orchestrator, self.instance, self.idle_epoch,
+            self.state_index, self.event,
+        ) = state
 
     def __call__(self) -> None:
         orch = self.orchestrator
         instance = self.instance
-        if orch._idle_reaps.get(instance.instance_id) is self.event:
-            del orch._idle_reaps[instance.instance_id]
-        still_idle = (
-            instance.alive
-            and instance.state is InstanceState.IDLE
+        reaps = orch._idle_reaps
+        if reaps.get(instance.instance_id) is self.event:
+            del reaps[instance.instance_id]
+        if (
+            instance.state is InstanceState.IDLE
             and instance.last_active_at == self.idle_epoch
-        )
-        if still_idle:
-            orch._terminate(instance, orch.clock.now())
+        ):
+            orch._destroy(instance, orch.clock.now(), self.state_index)

@@ -108,10 +108,10 @@ class ServiceStateStore:
         """``count`` new instances launched straight into ACTIVE."""
         self._active[index] += count
 
-    def on_idled(self, index: int) -> None:
-        """One ACTIVE instance went IDLE."""
-        self._active[index] -= 1
-        self._idle[index] += 1
+    def on_idled(self, index: int, count: int = 1) -> None:
+        """``count`` ACTIVE instances went IDLE."""
+        self._active[index] -= count
+        self._idle[index] += count
 
     def on_activated(self, index: int) -> None:
         """One IDLE instance was reused back into ACTIVE."""

@@ -146,7 +146,7 @@ class SparseServiceCounts:
     # ------------------------------------------------------------------
     def _ensure_entry(self, index: int) -> int:
         """Position of ``index`` in the entry arrays, inserting a zero."""
-        pos = int(np.searchsorted(self._idx, index))
+        pos = int(self._idx.searchsorted(index))
         if pos == self._idx.size or self._idx[pos] != index:
             self._idx = np.insert(self._idx, pos, index)
             self._cnt = np.insert(self._cnt, pos, 0)
@@ -164,7 +164,7 @@ class SparseServiceCounts:
 
     def dec(self, index: int) -> None:
         """Count one fewer instance on one host; never goes negative."""
-        pos = int(np.searchsorted(self._idx, index))
+        pos = int(self._idx.searchsorted(index))
         if pos < self._idx.size and self._idx[pos] == index and self._cnt[pos] > 0:
             self._cnt[pos] -= 1
 

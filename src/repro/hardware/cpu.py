@@ -9,6 +9,7 @@ of generic models one observes on Cloud Run hosts.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -47,12 +48,15 @@ class CPUModel:
         return self.base_frequency_hz
 
     @staticmethod
+    @functools.lru_cache(maxsize=256)
     def parse_frequency_from_name(name: str) -> float | None:
         """Extract the labeled frequency (Hz) from a model string.
 
         Returns ``None`` when the name carries no ``@ X.XXGHz`` suffix, which
         is how an attacker discovers that the reported-frequency method is
-        unavailable for a given host.
+        unavailable for a given host.  Memoized: a pure function of the
+        string, called once per fingerprinted instance, over a fleet with a
+        handful of distinct model names.
 
         >>> CPUModel.parse_frequency_from_name("Intel Xeon CPU @ 2.20GHz")
         2200000000.0

@@ -8,20 +8,27 @@ provenance.  Both must survive a round-trip through ``pickle`` so cells can
 run in worker processes (:mod:`repro.runner.pool`) and rest on disk
 (:mod:`repro.runner.cache`).
 
-The cache identity of a cell is the SHA-256 of ``(experiment id,
-canonicalized config, seed, package version)`` — see :func:`cache_key` —
-plus, when the runner executes under a platform profile or fault plan,
-those contexts' canonical forms.  Changing any of them recomputes the
-cell; nothing else does.
+The identity of a cell is the SHA-256 of ``(experiment id, canonicalized
+config, seed, package version)`` — see :func:`cell_identity` — plus, when
+the runner executes under a platform profile or fault plan, those
+contexts' canonical forms.  Its cache key (:func:`cache_key`) binds that
+identity to the source fingerprint (:func:`source_fingerprint`), a hash
+of every module of the package, so a cached value never outlives the
+code that computed it, whether or not the version string was bumped.
+Changing any of these recomputes the cell; nothing else does.  Fault
+plans key injected cell failures on the identity, so a fault schedule
+does not move when the sources do.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import pickle
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro import _version
@@ -33,6 +40,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 
 class CellSpecError(ReproError):
     """Raised when a cell's configuration cannot be canonicalized."""
+
+
+#: Root of the ``repro`` package sources.
+PACKAGE_ROOT = Path(__file__).resolve().parents[1]
+
+
+def hash_source_tree(root: Path) -> str:
+    """SHA-256 over the relative path and bytes of every ``*.py`` under ``root``."""
+    digest = hashlib.sha256()
+    for name, path in sorted((p.relative_to(root).as_posix(), p) for p in root.rglob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.cache
+def source_fingerprint() -> str:
+    """Fingerprint of the package's own sources, hashed once per process."""
+    return hash_source_tree(PACKAGE_ROOT)
 
 
 def canonicalize(config: Any) -> Any:
@@ -121,6 +148,11 @@ class CellSpec:
             platform=platform, faults=faults,
         )
 
+    def identity(self) -> str:
+        """What this cell computes, independent of the code computing it
+        (the token fault plans key injected cell failures on)."""
+        return cell_identity(self.experiment, self.config, self.seed)
+
 
 @dataclass
 class CellResult:
@@ -157,7 +189,7 @@ class CellResult:
         return hashlib.sha256(pickle.dumps(self.value)).hexdigest()
 
 
-def cache_key(
+def cell_identity(
     experiment: str,
     config: Any,
     seed: int,
@@ -185,4 +217,21 @@ def cache_key(
     if faults is not None:
         payload["faults"] = canonicalize(faults)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def cache_key(
+    experiment: str,
+    config: Any,
+    seed: int,
+    *,
+    platform: Any = None,
+    faults: Any = None,
+) -> str:
+    """The cell's :func:`cell_identity` bound to :func:`source_fingerprint`:
+    editing any module of the package changes every key."""
+    identity = cell_identity(
+        experiment, config, seed, platform=platform, faults=faults
+    )
+    blob = f"{identity}:{source_fingerprint()}"
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -321,7 +321,7 @@ def _execute_cell(
     )
     try:
         with scope, world_scope:
-            if fault_plan is not None and fault_plan.cell_fails(spec.key(), attempt):
+            if fault_plan is not None and fault_plan.cell_fails(spec.identity(), attempt):
                 raise CellExecutionError(
                     f"injected fault (attempt {attempt})"
                 )

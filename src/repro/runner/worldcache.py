@@ -52,7 +52,7 @@ from repro.cloud.platform import PlatformProfile, platform_profile
 from repro.cloud.topology import RegionProfile
 from repro.cloud.traffic import TrafficConfig
 from repro.faults import FaultSpec, RetryPolicy
-from repro.runner.cellspec import canonicalize
+from repro.runner.cellspec import canonicalize, source_fingerprint
 from repro.sandbox.base import TscPolicy
 from repro.telemetry import (
     MetricSet,
@@ -116,8 +116,10 @@ class EnvSpec:
         return self.fault_spec is None or not self.fault_spec.enabled
 
     def content_hash(self) -> str:
-        """SHA-256 over the canonicalized spec (the world cache key)."""
+        """SHA-256 over the canonicalized spec and the package's source
+        fingerprint (the world cache key)."""
         payload = {
+            "source": source_fingerprint(),
             "region": self.region,
             "seed": int(self.seed),
             "tsc_policy": self.tsc_policy,

@@ -4,16 +4,21 @@ The FaaS orchestrator uses this to schedule deferred work such as idle
 instance termination: events registered for time ``t`` fire as soon as the
 clock advances to or past ``t``, in timestamp order.
 
+The queue is a binary heap of plain ``(when, sequence, event)`` tuples.
+Sequence numbers are unique, so tuple comparison settles on the first two
+fields in C and never compares the :class:`ScheduledEvent` itself; events
+scheduled for the same instant fire in registration order.
+
 Cancelled events are compacted lazily: a cancelled entry is dropped when it
 reaches the top of the heap, and when more than half the heap is dead the
-whole queue is rebuilt.  Long campaigns cancel thousands of keep-alive and
-idle-timer events, so without compaction the heap grows without bound.
+whole queue is rebuilt in place.  Long campaigns cancel thousands of
+keep-alive and idle-timer events, so without compaction the heap grows
+without bound.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Callable, Optional
 
 from repro.simtime.clock import SimClock
@@ -58,22 +63,28 @@ class SequenceCounter:
         return f"SequenceCounter({self.value})"
 
 
-@dataclass(order=True)
 class ScheduledEvent:
     """An event queued for execution at a future simulated time.
 
-    Events are ordered by ``(when, sequence)`` so that events scheduled for
-    the same instant fire in registration order.
+    The scheduler orders events by ``(when, sequence)`` through their heap
+    entries; the event itself carries no ordering.
     """
 
-    when: float
-    sequence: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    _fired: bool = field(default=False, compare=False, repr=False)
-    _owner: Optional["EventScheduler"] = field(
-        default=None, compare=False, repr=False
-    )
+    __slots__ = ("when", "sequence", "action", "cancelled", "_fired", "_owner")
+
+    def __init__(
+        self,
+        when: float,
+        sequence: int,
+        action: Callable[[], None],
+        owner: Optional["EventScheduler"] = None,
+    ) -> None:
+        self.when = when
+        self.sequence = sequence
+        self.action = action
+        self.cancelled = False
+        self._fired = False
+        self._owner = owner
 
     def cancel(self) -> None:
         """Prevent this event from firing (no-op if it already fired)."""
@@ -82,6 +93,12 @@ class ScheduledEvent:
         self.cancelled = True
         if self._owner is not None:
             self._owner._note_cancelled()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"ScheduledEvent(when={self.when!r}, sequence={self.sequence}, "
+            f"cancelled={self.cancelled})"
+        )
 
 
 class EventScheduler:
@@ -104,7 +121,7 @@ class EventScheduler:
 
     def __init__(self, clock: SimClock) -> None:
         self._clock = clock
-        self._queue: list[ScheduledEvent] = []
+        self._queue: list[tuple[float, int, ScheduledEvent]] = []
         self._counter = SequenceCounter()
         self._dead = 0
         clock.add_tick_hook(self._on_tick)
@@ -115,13 +132,10 @@ class EventScheduler:
         Events scheduled in the past fire on the next clock advancement.
         Returns the event so callers may :meth:`~ScheduledEvent.cancel` it.
         """
-        event = ScheduledEvent(
-            when=float(when),
-            sequence=next(self._counter),
-            action=action,
-            _owner=self,
-        )
-        heapq.heappush(self._queue, event)
+        when = float(when)
+        sequence = next(self._counter)
+        event = ScheduledEvent(when, sequence, action, self)
+        heappush(self._queue, (when, sequence, event))
         return event
 
     def call_after(self, delay: float, action: Callable[[], None]) -> ScheduledEvent:
@@ -140,16 +154,19 @@ class EventScheduler:
             self._compact()
 
     def _compact(self) -> None:
-        """Rebuild the heap without cancelled entries."""
-        self._queue = [event for event in self._queue if not event.cancelled]
-        heapq.heapify(self._queue)
+        """Rebuild the heap without cancelled entries, in place (a firing
+        callback's cancellations may compact the queue ``_on_tick`` holds)."""
+        queue = self._queue
+        queue[:] = [entry for entry in queue if not entry[2].cancelled]
+        heapify(queue)
         self._dead = 0
         current_telemetry().count("simtime.compactions")
 
     def _on_tick(self, now: float) -> None:
         fired = 0
-        while self._queue and self._queue[0].when <= now:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue and queue[0][0] <= now:
+            event = heappop(queue)[2]
             if event.cancelled:
                 self._dead -= 1
                 continue

@@ -8,8 +8,11 @@ same verdicts, hit counts, RNG end states, placements, and counts.
   per-round loop (one probe round-trip per instance per round) instead of
   the batched ``observe_rounds`` engine.
 * :func:`use_scalar_launch` — an orchestrator whose launch commit runs the
-  per-instance loop (one seed draw, count increment, and retry loop per
-  instance) instead of committing runs.
+  per-instance loop (one seed draw, ``default_rng`` sandbox generator,
+  count increment, and retry loop per instance) instead of committing runs.
+* :func:`use_scalar_idle_out` — an orchestrator whose idle-out runs the
+  per-instance loop (one window lookup, state-index lookup and deadline
+  draw per instance) instead of one batched call.
 * :func:`census_reduce_scalar` — the set-based census reduction that
   :class:`~repro.analysis.aggregation.FootprintAccumulator` replaces.
 """
@@ -146,6 +149,44 @@ class ScalarLaunchOrchestrator(Orchestrator):
 def use_scalar_launch(orchestrator: Orchestrator) -> None:
     """Switch an already-built orchestrator to the per-instance launch loop."""
     orchestrator.__class__ = ScalarLaunchOrchestrator
+
+
+# ----------------------------------------------------------------------
+# Idle-out: the per-instance loop
+# ----------------------------------------------------------------------
+class ScalarIdleOutOrchestrator(Orchestrator):
+    """An orchestrator whose idle-out is the per-instance loop."""
+
+    def _idle_out_many(
+        self, service: Service, instances: list[ContainerInstance], now: float
+    ) -> None:
+        for instance in instances:
+            self._idle_out(instance, now)
+
+    def _idle_out(self, instance: ContainerInstance, now: float) -> None:
+        """Idle one instance and schedule its eventual termination."""
+        profile = self.datacenter.profile
+        instance.go_idle(now)
+        index = self._svc_state.ensure(instance.service.qualified_name)
+        self._svc_state.on_idled(index)
+        self._settle_billing(instance)
+        idle_grace, idle_deadline = profile.idle_grace, profile.idle_deadline
+        if self.platform is not None:
+            idle_grace, idle_deadline = self.platform.idle_window(
+                idle_grace, idle_deadline
+            )
+        stream = self._idle_streams.get(instance.service.qualified_name)
+        if stream is None:
+            deadline = now + self._rng.uniform(idle_grace, idle_deadline)
+        else:
+            span_s = idle_deadline - idle_grace
+            deadline = now + idle_grace + stream(instance.instance_id) * span_s
+        self._schedule_idle_reap(instance, index, when=deadline)
+
+
+def use_scalar_idle_out(orchestrator: Orchestrator) -> None:
+    """Switch an already-built orchestrator to the per-instance idle-out loop."""
+    orchestrator.__class__ = ScalarIdleOutOrchestrator
 
 
 # ----------------------------------------------------------------------

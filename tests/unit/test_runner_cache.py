@@ -1,5 +1,9 @@
 """Unit tests for the cell cache and its content-addressed keys."""
 
+import os
+import shutil
+import subprocess
+import sys
 from dataclasses import dataclass
 
 import pytest
@@ -8,12 +12,14 @@ from repro.runner import (
     CellCache,
     CellSpec,
     CellSpecError,
+    EnvSpec,
     RunnerConfig,
     cache_key,
     canonicalize,
     default_cache_dir,
     run_cells,
 )
+from repro.runner.cellspec import PACKAGE_ROOT, hash_source_tree, source_fingerprint
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,68 @@ class TestCacheKey:
         a = cache_key("fig4", {"x": 1, "y": 2}, 0)
         b = cache_key("fig4", {"y": 2, "x": 1}, 0)
         assert a == b
+
+
+class TestSourceFingerprint:
+    """Cell and world keys follow the package sources, not just its version."""
+
+    @staticmethod
+    def copy_package(tmp_path):
+        root = tmp_path / "src"
+        shutil.copytree(
+            PACKAGE_ROOT, root / "repro", ignore=shutil.ignore_patterns("__pycache__")
+        )
+        return root
+
+    def test_fingerprint_is_the_package_tree_hash(self, tmp_path):
+        assert source_fingerprint() == hash_source_tree(PACKAGE_ROOT)
+        copy = self.copy_package(tmp_path) / "repro"
+        assert hash_source_tree(copy) == source_fingerprint()
+        (copy / "units.py").write_text(
+            (copy / "units.py").read_text(encoding="utf-8") + "\n# edited\n",
+            encoding="utf-8",
+        )
+        assert hash_source_tree(copy) != source_fingerprint()
+
+    def test_key_changes_when_a_module_is_edited(self, tmp_path):
+        root = self.copy_package(tmp_path)
+        script = (
+            "from repro.runner import EnvSpec, cache_key;"
+            "print(cache_key('fig4', {}, 7), EnvSpec(seed=3).content_hash())"
+        )
+
+        def keys():
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": str(root)},
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            return done.stdout.split()
+
+        before = keys()
+        # An unmodified copy keys exactly like the package under test.
+        assert before == [cache_key("fig4", {}, 7), EnvSpec(seed=3).content_hash()]
+        module = root / "repro" / "cloud" / "orchestrator.py"
+        module.write_text(
+            module.read_text(encoding="utf-8") + "\n# edited\n", encoding="utf-8"
+        )
+        after = keys()
+        assert after[0] != before[0]
+        assert after[1] != before[1]
+
+    def test_keys_hash_the_fingerprint(self, monkeypatch):
+        spec = CellSpec("fig4", _count_cell, {"n": 1}, 7)
+        cell, world = spec.key(), EnvSpec(seed=3).content_hash()
+        identity = spec.identity()
+        monkeypatch.setattr("repro.runner.cellspec.source_fingerprint", lambda: "0" * 64)
+        monkeypatch.setattr("repro.runner.worldcache.source_fingerprint", lambda: "0" * 64)
+        assert spec.key() != cell
+        assert EnvSpec(seed=3).content_hash() != world
+        # Fault plans key cell failures on the identity, which the sources
+        # do not move.
+        assert spec.identity() == identity
 
 
 class TestCellCache:
