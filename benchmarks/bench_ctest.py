@@ -88,6 +88,7 @@ def build_groups(n_instances: int, seed: int) -> list[list[InstanceHandle]]:
                 clock=clock,
                 rng=np.random.default_rng(seed * 1_000_003 + serial),
                 sandbox_id=instance_id,
+                boot_time=clock.now(),
             )
             instance = ContainerInstance(
                 instance_id=instance_id,

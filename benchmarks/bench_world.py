@@ -203,6 +203,14 @@ def run() -> dict:
     factor = 16
     fresh_t, fresh_digests = run_fresh(factor)
     warm_t, warm_digests, cache = run_warm(factor)
+    # Where the warm/fresh ratio comes from: a fork's cost against a
+    # world build's, and the pickled size of the cached worlds.
+    fork_s = cache.metrics.counter("worldcache.fork_seconds") / cache.hits
+    build_s = cache.metrics.counter("worldcache.build_seconds") / cache.misses
+    snapshot_mb = sum(
+        cache.get(world_spec(factor, p, BASE_SEED).content_hash()).n_bytes
+        for p in PLATFORMS
+    ) / 2**20
     results["16x"] = {
         "n_hosts": scaled_profile(factor).n_hosts,
         "cells": len(fresh_digests),
@@ -211,12 +219,16 @@ def run() -> dict:
         "speedup": round(fresh_t / warm_t, 3),
         "worldcache_builds": cache.misses,
         "worldcache_forks": cache.hits,
+        "fork_s_per_fork": round(fork_s, 6),
+        "build_s_per_world": round(build_s, 6),
+        "snapshot_mb": round(snapshot_mb, 3),
         "identical": fresh_digests == warm_digests,
     }
     print(
         f" 16x ({results['16x']['n_hosts']} hosts, {N_TENANTS} tenants): "
         f"fresh {fresh_t:.3f}s, warm {warm_t:.3f}s "
-        f"({cache.misses} builds + {cache.hits} forks), "
+        f"({cache.misses} builds x {build_s:.3f}s + {cache.hits} forks x "
+        f"{fork_s:.3f}s, {snapshot_mb:.1f} MB of snapshots), "
         f"{results['16x']['speedup']}x, "
         f"identical={results['16x']['identical']}"
     )

@@ -40,8 +40,12 @@ class InstanceHandle:
 
     @property
     def generation(self) -> str:
-        """Execution environment generation ("gen1"/"gen2")."""
-        return self._instance.sandbox.generation
+        """Execution environment generation ("gen1"/"gen2").
+
+        Answered from the instance's launch run without building its
+        sandbox.
+        """
+        return self._instance.generation
 
     @property
     def alive(self) -> bool:

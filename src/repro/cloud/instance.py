@@ -9,12 +9,14 @@ SIGTERM and destroyed if it stays idle too long.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, Mapping, TypeVar
 
 from repro.cloud.services import Service
 from repro.errors import InstanceGoneError
-from repro.sandbox.base import Sandbox
+from repro.hardware.host import PhysicalHost
+from repro.sandbox.base import Sandbox, TscPolicy
+from repro.sandbox.seeding import sandbox_generators
+from repro.simtime.clock import SimClock
 
 T = TypeVar("T")
 
@@ -27,7 +29,58 @@ class InstanceState(enum.Enum):
     TERMINATED = "terminated"
 
 
-@dataclass
+class LaunchRun:
+    """The sandboxes of one committed launch run, built on first touch.
+
+    The orchestrator commits a launch run with one vector draw of sandbox
+    seeds, then records here what the run's sandboxes need instead of
+    building them.  The first access to any member's
+    :attr:`ContainerInstance.sandbox` builds *every* member's sandbox in
+    one :func:`~repro.sandbox.seeding.sandbox_generators` call and unlinks
+    the members from the run, which is then garbage.  Background tenants
+    are never probed, so most runs are never built, and a world snapshot
+    pickles an unbuilt run as its seeds and member list, with no
+    generators.
+
+    Deferring is draw-order-safe: a sandbox's construction draws only from
+    its own generator, reads only immutable host state, and boots at the
+    run's ``boot_time`` (the members' ``created_at``), not at build time.
+    """
+
+    __slots__ = ("sandbox_cls", "hosts", "clock", "tsc_policy", "boot_time", "seeds", "members")
+
+    def __init__(
+        self,
+        sandbox_cls: type[Sandbox],
+        hosts: Mapping[str, PhysicalHost],
+        clock: SimClock,
+        tsc_policy: TscPolicy,
+        boot_time: float,
+        seeds: tuple[int, ...],
+    ) -> None:
+        self.sandbox_cls = sandbox_cls
+        self.hosts = hosts
+        self.clock = clock
+        self.tsc_policy = tsc_policy
+        self.boot_time = boot_time
+        self.seeds = seeds
+        self.members: list[ContainerInstance] = []
+
+    def build(self) -> None:
+        """Build every member's sandbox (members in launch order)."""
+        cls, hosts, clock = self.sandbox_cls, self.hosts, self.clock
+        for instance, rng in zip(self.members, sandbox_generators(self.seeds)):
+            instance._sandbox = cls(
+                hosts[instance.host_id],
+                clock,
+                rng,
+                instance.instance_id,
+                tsc_policy=self.tsc_policy,
+                boot_time=self.boot_time,
+            )
+            instance._run = None
+
+
 class ContainerInstance:
     """One running container instance of a service.
 
@@ -41,7 +94,9 @@ class ContainerInstance:
         The physical host (simulator-side ground truth; never exposed to
         guests or to the attacker-facing API).
     sandbox:
-        The sandboxed execution environment guest code runs in.
+        The sandboxed execution environment guest code runs in.  Pass a
+        built ``sandbox`` or the instance's :class:`LaunchRun` as ``run``;
+        a run-launched instance builds its run's sandboxes on first access.
     created_at / last_active_at:
         Lifecycle timestamps (simulated wall clock).
     active_since:
@@ -52,21 +107,55 @@ class ContainerInstance:
         (Fig. 6) registers a reporter here.
     """
 
-    instance_id: str
-    service: Service
-    host_id: str
-    sandbox: Sandbox
-    created_at: float
-    state: InstanceState = InstanceState.ACTIVE
-    active_since: float | None = None
-    last_active_at: float = 0.0
-    active_seconds_total: float = 0.0
-    on_sigterm: Callable[[float], None] | None = None
+    __slots__ = (
+        "instance_id", "service", "host_id", "created_at", "state",
+        "active_since", "last_active_at", "active_seconds_total", "on_sigterm",
+        "_sandbox", "_run",
+    )
 
-    def __post_init__(self) -> None:
-        if self.active_since is None:
-            self.active_since = self.created_at
-        self.last_active_at = self.created_at
+    def __init__(
+        self,
+        *,
+        instance_id: str,
+        service: Service,
+        host_id: str,
+        created_at: float,
+        sandbox: Sandbox | None = None,
+        run: LaunchRun | None = None,
+    ) -> None:
+        if (sandbox is None) == (run is None):
+            raise TypeError("ContainerInstance takes exactly one of sandbox= or run=")
+        self.instance_id = instance_id
+        self.service = service
+        self.host_id = host_id
+        self.created_at = created_at
+        self.state = InstanceState.ACTIVE
+        self.active_since: float | None = created_at
+        self.last_active_at = created_at
+        self.active_seconds_total = 0.0
+        self.on_sigterm: Callable[[float], None] | None = None
+        self._sandbox = sandbox
+        self._run = run
+
+    def __repr__(self) -> str:
+        return (
+            f"ContainerInstance({self.instance_id!r}, host={self.host_id!r}, "
+            f"state={self.state.value})"
+        )
+
+    @property
+    def sandbox(self) -> Sandbox:
+        """The instance's sandbox (builds its launch run's on first access)."""
+        if self._sandbox is None:
+            self._run.build()
+        return self._sandbox
+
+    @property
+    def generation(self) -> str:
+        """Sandbox generation ("gen1"/"gen2"), answered without a build."""
+        if self._sandbox is None:
+            return self._run.sandbox_cls.generation
+        return self._sandbox.generation
 
     @property
     def alive(self) -> bool:

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.cloud.services import Service
 from repro.cloud.topology import RegionProfile
+from repro.errors import SimulationError
 from repro.fleet import FleetStore
 
 
@@ -27,26 +28,44 @@ class DemandTracker:
         self._profile = profile
 
     def record_demand(self, service: Service, now: float, concurrency: int) -> None:
-        """Record that ``service`` ran ``concurrency`` concurrent instances."""
-        service.demand_events.append((now, concurrency))
-        # Trim events that can never matter again to bound memory.
+        """Record that ``service`` ran ``concurrency`` concurrent instances.
+
+        Demand is recorded at the simulated clock's time, which never goes
+        backwards, so each service's events stay sorted by time and the
+        ones too old to ever matter again form a prefix, trimmed in place.
+        Raises :class:`~repro.errors.SimulationError` if ``now`` precedes
+        the service's last recorded event.
+        """
+        events = service.demand_events
+        if events and now < events[-1][0]:
+            raise SimulationError(
+                f"demand for {service.qualified_name!r} recorded at {now!r}, "
+                f"before its last event at {events[-1][0]!r}"
+            )
+        events.append((now, concurrency))
         horizon = now - 2 * self._profile.hot_window
-        service.demand_events = [
-            (t, c) for (t, c) in service.demand_events if t >= horizon
-        ]
+        stale = 0
+        while stale < len(events) and events[stale][0] < horizon:
+            stale += 1
+        if stale:
+            del events[:stale]
 
     def is_hot(self, service: Service, now: float) -> bool:
         """True when the service saw high demand within the hot window.
 
         A *cold* service (no qualifying demand in the past
         ``profile.hot_window``) is placed on base hosts only; a hot one is
-        eligible for helper-host recruitment.
+        eligible for helper-host recruitment.  Scans the time-sorted
+        events newest first, stopping at the window's edge.
         """
         cutoff = now - self._profile.hot_window
-        return any(
-            t > cutoff and c >= self._profile.hot_min_concurrency
-            for (t, c) in service.demand_events
-        )
+        threshold = self._profile.hot_min_concurrency
+        for t, c in reversed(service.demand_events):
+            if t <= cutoff:
+                return False
+            if c >= threshold:
+                return True
+        return False
 
 
 class HelperHostRecruiter:

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.cloud.accounts import Account
 from repro.cloud.datacenter import DataCenter
-from repro.cloud.instance import ContainerInstance, InstanceState
+from repro.cloud.instance import ContainerInstance, InstanceState, LaunchRun
 from repro.cloud.loadbalancer import DemandTracker, HelperHostRecruiter
 from repro.cloud.placement import PlacementPolicy, PlacementRequest
 from repro.cloud.platform import PlatformProfile
@@ -34,7 +34,6 @@ from repro.fleet import ServiceStateStore
 from repro.sandbox.base import TscPolicy
 from repro.sandbox.gvisor import GVisorSandbox
 from repro.sandbox.microvm import MicroVMSandbox
-from repro.sandbox.seeding import sandbox_generators
 from repro.simtime.scheduler import EventScheduler, ScheduledEvent, SequenceCounter
 from repro.telemetry import current_telemetry
 
@@ -677,41 +676,37 @@ class Orchestrator:
         mask path; pinned by the twin-world launch tests against the
         per-instance oracle).  Count and state bookkeeping never feed the
         RNG, so committing them as one ``add_at`` / ``on_created(count=n)``
-        is identity-safe.
+        is identity-safe.  The sandboxes themselves are not built here: the
+        run's :class:`~repro.cloud.instance.LaunchRun` builds them all on
+        the first probe of any member.
         """
         n = len(instance_ids)
         if n == 0:
             return
         qualified = service.qualified_name
-        seeds = self._rng.integers(2**63, size=n)
+        seeds = tuple(self._rng.integers(2**63, size=n).tolist())
         self.fleet.service_counts(qualified).add_at(hosts)
         self._svc_state.on_created(self._svc_state.ensure(qualified), count=n)
         ids = self.fleet.ids
-        host_of = self.datacenter.host
         cls = GVisorSandbox if self._generation(service) == "gen1" else MicroVMSandbox
+        run = LaunchRun(
+            cls, self.datacenter.hosts_by_id, self.clock, self.tsc_policy, now, seeds
+        )
+        members = run.members
         service_list = self._service_instances.setdefault(qualified, [])
-        for host_index, instance_id, rng in zip(
-            hosts.tolist(), instance_ids, sandbox_generators(seeds)
-        ):
-            host_id = ids[host_index]
-            sandbox = cls(
-                host_of(host_id),
-                self.clock,
-                rng,
-                instance_id,
-                tsc_policy=self.tsc_policy,
-            )
+        for host_index, instance_id in zip(hosts.tolist(), instance_ids):
             instance = ContainerInstance(
                 instance_id=instance_id,
                 service=service,
-                host_id=host_id,
-                sandbox=sandbox,
+                host_id=ids[host_index],
                 created_at=now,
+                run=run,
             )
             self.instances[instance_id] = instance
             self._billed_seconds[instance_id] = 0.0
-            service_list.append(instance)
-            created.append(instance)
+            members.append(instance)
+        service_list.extend(members)
+        created.extend(members)
 
     def _retry_launch(self, instance_id: str) -> None:
         """Retry a launch whose first attempt failed, with bounded backoff.

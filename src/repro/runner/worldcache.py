@@ -67,9 +67,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: Environment variable bounding the per-process LRU (0 disables it).
 WORLD_CACHE_SIZE_ENV = "REPRO_WORLD_CACHE_SIZE"
 
-#: Default number of warm worlds kept per process.  Worlds are a few MB
-#: each at benchmark scale; sweeps rarely interleave more than a handful
-#: of distinct (seed, platform, background) combinations at once.
+#: Default number of warm worlds kept per process.  A world is ~19 MB
+#: pickled at the 16x bench scale (960 hosts, 1000 background tenants);
+#: sweeps rarely interleave more than a handful of distinct (seed,
+#: platform, background) combinations at once.
 DEFAULT_WORLD_CACHE_SIZE = 8
 
 
@@ -345,10 +346,12 @@ _PROCESS_CACHE: WorldCache | None = None
 def process_world_cache() -> WorldCache | None:
     """This process's persistent world cache (pool workers each own one).
 
-    Sized by ``$REPRO_WORLD_CACHE_SIZE``; ``0`` disables warm-world
-    forking process-wide.  Lazily created so the env var is honored at
-    first use, and shared across every cell the process executes — that
-    reuse across cells is the whole point.
+    Sized by ``$REPRO_WORLD_CACHE_SIZE``; unset or blank means the
+    default, ``0`` (or less) disables warm-world forking process-wide, and
+    a value that is not an integer raises :class:`ValueError`.  Lazily
+    created so the env var is honored at first use, and shared across
+    every cell the process executes — that reuse across cells is the
+    whole point.
     """
     global _PROCESS_CACHE
     raw = os.environ.get(WORLD_CACHE_SIZE_ENV, "")
@@ -357,7 +360,10 @@ def process_world_cache() -> WorldCache | None:
         try:
             size = int(raw)
         except ValueError:
-            size = DEFAULT_WORLD_CACHE_SIZE
+            raise ValueError(
+                f"{WORLD_CACHE_SIZE_ENV}={raw!r} is not an integer "
+                "(0 disables the world cache)"
+            ) from None
     if size < 1:
         return None
     if _PROCESS_CACHE is None or _PROCESS_CACHE.maxsize != size:

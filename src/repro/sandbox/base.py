@@ -70,6 +70,12 @@ class Sandbox(abc.ABC):
         Identifier used to register RNG pressure on the host.
     tsc_policy:
         Whether the TSC is exposed natively or emulated (mitigation).
+    boot_time:
+        Simulated wall time the sandbox booted at.  A sandbox built after
+        its instance launched (see :class:`~repro.cloud.instance.LaunchRun`)
+        still boots at the launch time, so boot-relative reads
+        (``proc_uptime``, the Gen 2 TSC offset) do not depend on when it
+        was built.
     """
 
     #: Human-readable generation tag ("gen1" / "gen2").
@@ -82,13 +88,15 @@ class Sandbox(abc.ABC):
         rng: np.random.Generator,
         sandbox_id: str,
         tsc_policy: TscPolicy = TscPolicy.NATIVE,
+        *,
+        boot_time: float,
     ) -> None:
         self._host = host
         self._clock = clock
         self._rng = rng
         self.sandbox_id = sandbox_id
         self.tsc_policy = tsc_policy
-        self.boot_wall_time = clock.now()
+        self.boot_wall_time = boot_time
         self.syscalls = SyscallLayer(host, clock, rng)
 
     # ------------------------------------------------------------------

@@ -30,6 +30,8 @@ hash as NumPy uint32 array ops costs ~110 µs at ~2 µs per ufunc call; an
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 from numpy.random.bit_generator import ISeedSequence
@@ -64,7 +66,7 @@ _MIX_ORDER = tuple(
 _LANE_ONE = (1).to_bytes(8, "little")
 
 
-def pcg64_seed_states(seeds: np.ndarray) -> np.ndarray:
+def pcg64_seed_states(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
     """``SeedSequence(s).generate_state(4, np.uint64)`` for every seed.
 
     ``seeds`` holds integers in ``[0, 2**64)``.  Returns a C-contiguous
@@ -136,7 +138,7 @@ class HashedSeedSequence(ISeedSequence):
         return f"HashedSeedSequence(entropy={self.entropy})"
 
 
-def sandbox_generators(seeds: np.ndarray) -> list[Generator]:
+def sandbox_generators(seeds: Sequence[int] | np.ndarray) -> list[Generator]:
     """``[np.random.default_rng(s) for s in seeds]``, built as one batch."""
     states = pcg64_seed_states(seeds)
     return [

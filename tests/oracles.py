@@ -8,8 +8,9 @@ same verdicts, hit counts, RNG end states, placements, and counts.
   per-round loop (one probe round-trip per instance per round) instead of
   the batched ``observe_rounds`` engine.
 * :func:`use_scalar_launch` — an orchestrator whose launch commit runs the
-  per-instance loop (one seed draw, ``default_rng`` sandbox generator,
-  count increment, and retry loop per instance) instead of committing runs.
+  per-instance loop (one seed draw, an eagerly built sandbox on a
+  ``default_rng`` generator, count increment, and retry loop per instance)
+  instead of committing runs whose sandboxes are built on first touch.
 * :func:`use_scalar_idle_out` — an orchestrator whose idle-out runs the
   per-instance loop (one window lookup, state-index lookup and deadline
   draw per instance) instead of one batched call.
@@ -115,6 +116,7 @@ class ScalarLaunchOrchestrator(Orchestrator):
                 np.random.default_rng(self._rng.integers(2**63)),
                 instance_id,
                 tsc_policy=self.tsc_policy,
+                boot_time=now,
             )
             instance = ContainerInstance(
                 instance_id=instance_id,

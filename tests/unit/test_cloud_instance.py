@@ -15,7 +15,9 @@ from tests.conftest import make_host
 def make_instance(clock=None):
     clock = clock or SimClock()
     host = make_host()
-    sandbox = GVisorSandbox(host, clock, np.random.default_rng(0), "i-1")
+    sandbox = GVisorSandbox(
+        host, clock, np.random.default_rng(0), "i-1", boot_time=clock.now()
+    )
     service = Service(config=ServiceConfig(name="s"), account_id="a", image_id="img")
     return (
         ContainerInstance(

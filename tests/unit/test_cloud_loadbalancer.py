@@ -1,9 +1,14 @@
 """Unit tests for demand tracking and helper-host recruitment."""
 
+import itertools
+
 import numpy as np
+import pytest
+from hypothesis import given, strategies as st
 
 from repro.cloud.loadbalancer import DemandTracker, HelperHostRecruiter
 from repro.cloud.services import Service, ServiceConfig
+from repro.errors import SimulationError
 from repro.fleet import FleetStore
 from repro.simtime.clock import SIM_EPOCH
 
@@ -53,6 +58,63 @@ class TestDemandTracker:
         for i in range(100):
             tracker.record_demand(service, SIM_EPOCH + i * profile.hot_window, 50)
         assert len(service.demand_events) < 10
+
+    def test_out_of_order_demand_raises(self):
+        tracker = make_tracker()
+        service = make_service()
+        tracker.record_demand(service, SIM_EPOCH + 10.0, 5)
+        with pytest.raises(SimulationError, match="before its last event"):
+            tracker.record_demand(service, SIM_EPOCH, 5)
+
+
+def comprehension_record(events, now, concurrency, hot_window):
+    """The demand trim as a filtered copy of the whole history."""
+    events = events + [(now, concurrency)]
+    horizon = now - 2 * hot_window
+    return [(t, c) for (t, c) in events if t >= horizon]
+
+
+def comprehension_is_hot(events, now, hot_window, min_concurrency):
+    cutoff = now - hot_window
+    return any(t > cutoff and c >= min_concurrency for (t, c) in events)
+
+
+class TestDemandTrimMatchesComprehension:
+    """In-place trimming and the newest-first hotness scan agree with the
+    filtered-copy comprehension on every nondecreasing event stream."""
+
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.5, 60.0, 600.0, 1800.0, 3600.0, 7200.0]),
+                st.integers(0, 30),
+                st.floats(0.0, 4000.0),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        min_concurrency=st.integers(1, 20),
+    )
+    def test_trim_and_is_hot_match(self, steps, min_concurrency):
+        profile = tiny_profile(hot_min_concurrency=min_concurrency)
+        tracker = DemandTracker(profile)
+        service = make_service()
+        reference: list[tuple[float, int]] = []
+        times = itertools.accumulate(gap for gap, _c, _q in steps)
+        for now, (_gap, concurrency, query_after) in zip(times, steps):
+            now += SIM_EPOCH
+            query = now + query_after
+            assert tracker.is_hot(service, query) == comprehension_is_hot(
+                reference, query, profile.hot_window, min_concurrency
+            )
+            tracker.record_demand(service, now, concurrency)
+            reference = comprehension_record(
+                reference, now, concurrency, profile.hot_window
+            )
+            assert service.demand_events == reference
+            assert tracker.is_hot(service, now) == comprehension_is_hot(
+                reference, now, profile.hot_window, min_concurrency
+            )
 
 
 class TestHelperRecruiter:

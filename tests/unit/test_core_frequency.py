@@ -15,7 +15,9 @@ from tests.conftest import make_host
 def make_sandbox(host=None, seed=3):
     host = host or make_host()
     clock = SimClock()
-    return GVisorSandbox(host, clock, np.random.default_rng(seed), "sb")
+    return GVisorSandbox(
+        host, clock, np.random.default_rng(seed), "sb", boot_time=clock.now()
+    )
 
 
 class TestReportedFrequency:

@@ -15,12 +15,17 @@ from tests.conftest import make_host
 
 def gen1_sandbox(host=None, policy=TscPolicy.NATIVE):
     host = host or make_host()
-    return GVisorSandbox(host, SimClock(), np.random.default_rng(0), "g1", tsc_policy=policy)
+    clock = SimClock()
+    return GVisorSandbox(
+        host, clock, np.random.default_rng(0), "g1", tsc_policy=policy,
+        boot_time=clock.now(),
+    )
 
 
 def gen2_sandbox(host=None):
     host = host or make_host()
-    return MicroVMSandbox(host, SimClock(), np.random.default_rng(0), "g2")
+    clock = SimClock()
+    return MicroVMSandbox(host, clock, np.random.default_rng(0), "g2", boot_time=clock.now())
 
 
 class TestGen1Probe:
@@ -42,8 +47,8 @@ class TestGen1Probe:
     def test_colocated_probes_agree(self):
         host = make_host()
         clock = SimClock()
-        s1 = GVisorSandbox(host, clock, np.random.default_rng(1), "a")
-        s2 = GVisorSandbox(host, clock, np.random.default_rng(2), "b")
+        s1 = GVisorSandbox(host, clock, np.random.default_rng(1), "a", boot_time=clock.now())
+        s2 = GVisorSandbox(host, clock, np.random.default_rng(2), "b", boot_time=clock.now())
         b1 = probes.gen1_fingerprint_probe(s1).boot_time()
         b2 = probes.gen1_fingerprint_probe(s2).boot_time()
         assert b1 == pytest.approx(b2, abs=0.1)

@@ -13,8 +13,8 @@ def both_generations(host=None, clock=None):
     host = host or make_host()
     clock = clock or SimClock()
     return [
-        GVisorSandbox(host, clock, np.random.default_rng(1), "g1"),
-        MicroVMSandbox(host, clock, np.random.default_rng(2), "g2"),
+        GVisorSandbox(host, clock, np.random.default_rng(1), "g1", boot_time=clock.now()),
+        MicroVMSandbox(host, clock, np.random.default_rng(2), "g2", boot_time=clock.now()),
     ], host
 
 

@@ -15,7 +15,10 @@ from tests.conftest import make_host
 def make_sandbox(host=None, clock=None, policy=TscPolicy.NATIVE, seed=5, sid="sb-1"):
     host = host or make_host()
     clock = clock or SimClock()
-    return GVisorSandbox(host, clock, np.random.default_rng(seed), sid, tsc_policy=policy), host, clock
+    return GVisorSandbox(
+        host, clock, np.random.default_rng(seed), sid, tsc_policy=policy,
+        boot_time=clock.now(),
+    ), host, clock
 
 
 class TestGVisorSandbox:

@@ -14,7 +14,10 @@ from tests.conftest import make_host
 def make_vm(host=None, clock=None, policy=TscPolicy.NATIVE, seed=5, sid="vm-1"):
     host = host or make_host()
     clock = clock or SimClock()
-    vm = MicroVMSandbox(host, clock, np.random.default_rng(seed), sid, tsc_policy=policy)
+    vm = MicroVMSandbox(
+        host, clock, np.random.default_rng(seed), sid, tsc_policy=policy,
+        boot_time=clock.now(),
+    )
     return vm, host, clock
 
 

@@ -10,6 +10,8 @@ from repro.cloud.traffic import TrafficConfig
 from repro.experiments.base import default_env
 from repro.faults import FaultPlan
 from repro.runner import (
+    DEFAULT_WORLD_CACHE_SIZE,
+    WORLD_CACHE_SIZE_ENV,
     CellSpec,
     EnvSpec,
     RunnerConfig,
@@ -321,6 +323,24 @@ class TestRunnerWiring:
         assert results[0].world["worldcache.misses"] == 1
         for result in results[1:]:
             assert result.world["worldcache.hits"] == 1
+
+
+class TestWorldCacheSizeSetting:
+    def test_non_integer_raises_naming_the_variable_and_value(self, monkeypatch):
+        monkeypatch.setenv(WORLD_CACHE_SIZE_ENV, "abc")
+        reset_process_world_cache()
+        with pytest.raises(ValueError, match="REPRO_WORLD_CACHE_SIZE='abc'"):
+            process_world_cache()
+
+    def test_empty_means_the_default_size(self, monkeypatch):
+        monkeypatch.setenv(WORLD_CACHE_SIZE_ENV, "")
+        reset_process_world_cache()
+        assert process_world_cache().maxsize == DEFAULT_WORLD_CACHE_SIZE
+
+    def test_zero_disables(self, monkeypatch):
+        monkeypatch.setenv(WORLD_CACHE_SIZE_ENV, "0")
+        reset_process_world_cache()
+        assert process_world_cache() is None
 
 
 # ----------------------------------------------------------------------
