@@ -44,7 +44,9 @@ class LaunchRun:
 
     Deferring is draw-order-safe: a sandbox's construction draws only from
     its own generator, reads only immutable host state, and boots at the
-    run's ``boot_time`` (the members' ``created_at``), not at build time.
+    run's ``boot_time``, not at build time.  The boot time is the clock
+    when the run was committed: the members' ``created_at``, or later for
+    a run committed after a launch retry's backoff sleep.
     """
 
     __slots__ = ("sandbox_cls", "hosts", "clock", "tsc_policy", "boot_time", "seeds", "members")

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.cloud.services import Service
 from repro.cloud.topology import RegionProfile
-from repro.errors import SimulationError
 from repro.fleet import FleetStore
 
 
@@ -33,15 +32,8 @@ class DemandTracker:
         Demand is recorded at the simulated clock's time, which never goes
         backwards, so each service's events stay sorted by time and the
         ones too old to ever matter again form a prefix, trimmed in place.
-        Raises :class:`~repro.errors.SimulationError` if ``now`` precedes
-        the service's last recorded event.
         """
         events = service.demand_events
-        if events and now < events[-1][0]:
-            raise SimulationError(
-                f"demand for {service.qualified_name!r} recorded at {now!r}, "
-                f"before its last event at {events[-1][0]!r}"
-            )
         events.append((now, concurrency))
         horizon = now - 2 * self._profile.hot_window
         stale = 0

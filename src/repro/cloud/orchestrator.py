@@ -678,7 +678,9 @@ class Orchestrator:
         RNG, so committing them as one ``add_at`` / ``on_created(count=n)``
         is identity-safe.  The sandboxes themselves are not built here: the
         run's :class:`~repro.cloud.instance.LaunchRun` builds them all on
-        the first probe of any member.
+        the first probe of any member, booted at the commit time.  That is
+        ``now`` (the members' ``created_at``) for the first run, but later
+        for a run committed after a retry backoff sleep.
         """
         n = len(instance_ids)
         if n == 0:
@@ -690,7 +692,12 @@ class Orchestrator:
         ids = self.fleet.ids
         cls = GVisorSandbox if self._generation(service) == "gen1" else MicroVMSandbox
         run = LaunchRun(
-            cls, self.datacenter.hosts_by_id, self.clock, self.tsc_policy, now, seeds
+            cls,
+            self.datacenter.hosts_by_id,
+            self.clock,
+            self.tsc_policy,
+            self.clock.now(),
+            seeds,
         )
         members = run.members
         service_list = self._service_instances.setdefault(qualified, [])

@@ -73,7 +73,7 @@ class Sandbox(abc.ABC):
     boot_time:
         Simulated wall time the sandbox booted at.  A sandbox built after
         its instance launched (see :class:`~repro.cloud.instance.LaunchRun`)
-        still boots at the launch time, so boot-relative reads
+        still boots at its launch run's commit time, so boot-relative reads
         (``proc_uptime``, the Gen 2 TSC offset) do not depend on when it
         was built.
     """

@@ -116,7 +116,7 @@ class ScalarLaunchOrchestrator(Orchestrator):
                 np.random.default_rng(self._rng.integers(2**63)),
                 instance_id,
                 tsc_policy=self.tsc_policy,
-                boot_time=now,
+                boot_time=self.clock.now(),
             )
             instance = ContainerInstance(
                 instance_id=instance_id,

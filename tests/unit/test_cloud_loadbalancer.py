@@ -3,12 +3,10 @@
 import itertools
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.cloud.loadbalancer import DemandTracker, HelperHostRecruiter
 from repro.cloud.services import Service, ServiceConfig
-from repro.errors import SimulationError
 from repro.fleet import FleetStore
 from repro.simtime.clock import SIM_EPOCH
 
@@ -58,13 +56,6 @@ class TestDemandTracker:
         for i in range(100):
             tracker.record_demand(service, SIM_EPOCH + i * profile.hot_window, 50)
         assert len(service.demand_events) < 10
-
-    def test_out_of_order_demand_raises(self):
-        tracker = make_tracker()
-        service = make_service()
-        tracker.record_demand(service, SIM_EPOCH + 10.0, 5)
-        with pytest.raises(SimulationError, match="before its last event"):
-            tracker.record_demand(service, SIM_EPOCH, 5)
 
 
 def comprehension_record(events, now, concurrency, hot_window):

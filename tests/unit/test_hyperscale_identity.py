@@ -7,8 +7,9 @@ the census aggregation
 (:class:`~repro.analysis.aggregation.FootprintAccumulator`).  Each test
 here builds two byte-identical worlds from one seed, runs the scalar
 oracle (:mod:`tests.oracles`) in one and the production engine in the
-other, and pins placements, sandbox RNG end states, the orchestrator RNG
-end state, service-count columns, load columns, and fault counters
+other, and pins placements, sandbox RNG end states and boot-relative
+reads (boot time, ``/proc/uptime``, ``rdtsc``), the orchestrator RNG end
+state, service-count columns, load columns, and fault counters
 exactly equal — the same contract the golden traces enforce end-to-end,
 exercised over a seed x shape matrix that includes mid-campaign instance
 deaths, ``InstanceGoneError`` handling, fault-injected launch retries
@@ -39,8 +40,20 @@ def orch_rng_state(env) -> str:
     return str(env.orchestrator._rng.bit_generator.state)
 
 
-def sandbox_rng_state(handle) -> str:
-    return handle.run(lambda sandbox: str(sandbox._rng.bit_generator.state))
+def sandbox_readings(handle) -> tuple:
+    """The sandbox's RNG state and its boot-relative reads.
+
+    A Gen 2 guest's ``rdtsc`` subtracts its boot-time TSC offset, so a
+    boot time shifted by a launch retry's backoff sleep changes it.
+    """
+    return handle.run(
+        lambda sandbox: (
+            str(sandbox._rng.bit_generator.state),
+            sandbox.boot_wall_time,
+            sandbox.proc_uptime(),
+            sandbox.rdtsc(),
+        )
+    )
 
 
 def run_campaign(
@@ -52,6 +65,7 @@ def run_campaign(
     idle_deaths=False,
     max_instances=100,
     client_retry=True,
+    generation="gen1",
 ):
     """One deploy/connect/disconnect campaign; returns its observable state.
 
@@ -68,7 +82,9 @@ def run_campaign(
         client.retry_policy = None
     orch = env.orchestrator
     profile = env.datacenter.profile
-    name = client.deploy(ServiceConfig(name="svc", max_instances=max_instances))
+    name = client.deploy(
+        ServiceConfig(name="svc", max_instances=max_instances, generation=generation)
+    )
     qualified = client._service(name).qualified_name
 
     hosts_per_launch = []
@@ -108,7 +124,7 @@ def run_campaign(
         "fault_counters": None if plan is None else dataclasses.asdict(plan.counters),
         "alive": sorted(i for i, inst in orch.instances.items() if inst.alive),
         "sandbox_states": {
-            h.instance_id: sandbox_rng_state(h)
+            h.instance_id: sandbox_readings(h)
             for h in last_handles
             if h.alive
         },
@@ -160,12 +176,13 @@ def background_env(seed, fault_plan):
     )
 
 
-# 4 seeds x 7 shapes = 28 identity cases: a single clean wave, a
+# 4 seeds x 8 shapes = 32 identity cases: a single clean wave, a
 # reconnect campaign with mid-campaign idle deaths, a campaign with a
 # killed instance (InstanceGoneError on both paths), a fault-injected
-# campaign where launches fail and retry, the same with background
-# tenants scaling inside the backoff sleeps, and launches that exhaust
-# their retries with and without the client's retry policy.
+# campaign where launches fail and retry (Gen 1, and Gen 2 whose rdtsc
+# reads its boot time), the same with background tenants scaling inside
+# the backoff sleeps, and launches that exhaust their retries with and
+# without the client's retry policy.
 LAUNCH_SHAPES = [
     pytest.param(dict(n=12, launches=1), None, None, id="single-wave"),
     pytest.param(
@@ -179,6 +196,12 @@ LAUNCH_SHAPES = [
         lambda seed: FaultPlan(FaultSpec(launch_error_rate=0.2, seed=seed)),
         None,
         id="faulty-launches",
+    ),
+    pytest.param(
+        dict(n=10, launches=2, generation="gen2"),
+        lambda seed: FaultPlan(FaultSpec(launch_error_rate=0.2, seed=seed)),
+        lambda world: world["fault_counters"]["launch_retries"] > 0,
+        id="faulty-launches-gen2",
     ),
     pytest.param(
         dict(n=10, launches=3, background=True),

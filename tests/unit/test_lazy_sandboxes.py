@@ -20,13 +20,21 @@ from repro.cloud.api import InstanceHandle
 from repro.cloud.services import ServiceConfig
 from repro.errors import InstanceGoneError, PrivilegeError
 from repro.experiments.base import default_env
+from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.runner import WorldSnapshot
 from tests.conftest import tiny_profile
 from tests.oracles import use_scalar_launch
 
 
-def make_env(seed: int = 11):
-    return default_env(profile=tiny_profile(), seed=seed)
+def make_env(seed: int = 11, launch_error_rate: float = 0.0):
+    if not launch_error_rate:
+        return default_env(profile=tiny_profile(), seed=seed)
+    return default_env(
+        profile=tiny_profile(),
+        seed=seed,
+        fault_plan=FaultPlan(FaultSpec(launch_error_rate=launch_error_rate, seed=seed)),
+        retry_policy=RetryPolicy(max_retries=8, backoff_seconds=2.0),
+    )
 
 
 def launch(env, name: str, n: int, generation: str = "gen1") -> list[InstanceHandle]:
@@ -137,14 +145,20 @@ class TestTerminatedUnbuiltRun:
         assert counter.calls == []
 
 
-@pytest.mark.parametrize("generation", ["gen1", "gen2"])
+@pytest.mark.parametrize(
+    "generation,launch_error_rate",
+    [("gen1", 0.0), ("gen2", 0.0), ("gen2", 0.6)],
+    ids=["gen1", "gen2", "gen2-launch-retries"],
+)
 @pytest.mark.parametrize("seed", [3, 11])
-def test_delayed_probe_matches_eager_oracle(generation, seed):
+def test_delayed_probe_matches_eager_oracle(generation, launch_error_rate, seed):
     """A sandbox first built hours after launch reads what the eagerly
-    built oracle sandbox reads at the same moment."""
+    built oracle sandbox reads at the same moment.  With launch faults, a
+    run committed after a retry's backoff sleep boots at its commit time,
+    later than its members' ``created_at``, as the oracle's sandboxes do."""
     worlds = {}
     for label in ("eager", "lazy"):
-        env = make_env(seed)
+        env = make_env(seed, launch_error_rate)
         if label == "eager":
             use_scalar_launch(env.orchestrator)
         first = launch(env, "early", 5, generation)
@@ -154,6 +168,14 @@ def test_delayed_probe_matches_eager_oracle(generation, seed):
         worlds[label] = [h.run(readings) for h in first + second]
         if label == "lazy":
             assert all(built(h) for h in first + second)
+            if launch_error_rate:
+                # The retry path is reached: some sandbox boots after launch.
+                assert env.orchestrator.fault_plan.counters.launch_retries > 0
+                assert any(
+                    h.run(lambda sandbox: sandbox.boot_wall_time)
+                    > h._instance.created_at
+                    for h in first + second
+                )
     assert worlds["eager"] == worlds["lazy"]
     if generation == "gen2":
         assert all(r["kernel_tsc_khz"] is not None for r in worlds["lazy"])
