@@ -5,8 +5,8 @@ rounds, pressure stop, verdicts — over synthetic fleets at
 1x/4x/16x/64x/256x of an 800-instance campaign wave with the paper's
 60-round test window, comparing the per-round loop oracle
 (``tests/oracles.py``: one probe round-trip per instance per round)
-against the production ``observe_rounds`` engine (one observation call
-per host per window).
+against the production engine (one ``observe_window`` vector pass over
+every host of the window).
 
 The two engines are byte-identical by contract (see the identity suites
 in ``tests/unit/test_ctest_vectorized.py`` and ``tests/scale``); this

@@ -33,7 +33,8 @@ def main() -> None:
     # Gen 1 fingerprint: (CPU model, boot time derived from rdtsc).
     tagged_pairs = fingerprint_gen1_instances(handles, p_boot=1.0)
     fingerprints = {fp for _h, fp in tagged_pairs}
-    print(f"observed {len(fingerprints)} apparent hosts, e.g. {next(iter(fingerprints))}")
+    example = min(fingerprints, key=lambda fp: (fp.cpu_model, fp.boot_bucket))
+    print(f"observed {len(fingerprints)} apparent hosts, e.g. {example}")
 
     # Verify co-location with the scalable group-testing method (§4.3).
     tagged = [TaggedInstance(h, fp, fp.cpu_model) for h, fp in tagged_pairs]

@@ -65,25 +65,24 @@ class InstanceHandle:
     @staticmethod
     def run_batch(
         handles: Sequence["InstanceHandle"],
-        probe: Callable[[list[Sandbox]], T],
-    ) -> list[tuple[list["InstanceHandle"], T]]:
-        """Run ``probe`` once per physical host over that host's sandboxes.
+        probe: Callable[[list[list[Sandbox]]], T],
+    ) -> T:
+        """Run ``probe`` once over the sandboxes of ``handles``, by host.
 
         Engine-side plumbing for batched covert-channel physics: handles
-        are grouped by their (hidden) placement, preserving input order
-        within each group, and ``probe`` receives each group's sandbox
-        list in one call — which is what lets the vectorized CTest engine
-        issue one observation call per *host* per test window instead of
-        one per instance per round.  Returns ``(handles, result)`` pairs
-        in first-appearance order of the hosts.
+        are grouped by their (hidden) placement, and ``probe`` receives
+        one sandbox list per physical host — hosts in first-appearance
+        order, input order within each host — in a single call, which is
+        what lets the CTest engine observe every host of a test window in
+        one vector pass.  Returns the probe's result.
 
-        The grouping key is exactly the co-location ground truth the
-        attack exists to infer, so results must only feed simulator-side
+        The grouping is exactly the co-location ground truth the attack
+        exists to infer, so it must only feed simulator-side
         shared-hardware physics (the covert channel), never attacker
         logic.  Every handle's liveness is checked — in input order,
-        before any probe runs — with the same gate as :meth:`run`, so a
-        terminated instance raises :class:`InstanceGoneError` before any
-        host observes anything.
+        before any sandbox is resolved — with the same gate as
+        :meth:`run`, so a terminated instance raises
+        :class:`InstanceGoneError` before the probe runs.
 
         Raises
         ------
@@ -94,10 +93,9 @@ class InstanceHandle:
         for handle in handles:
             handle._instance.require_alive()
             groups.setdefault(handle._instance.host_id, []).append(handle)
-        return [
-            (members, probe([h._instance.sandbox for h in members]))
-            for members in groups.values()
-        ]
+        return probe(
+            [[h._instance.sandbox for h in members] for members in groups.values()]
+        )
 
     def on_sigterm(self, callback: Callable[[float], None]) -> None:
         """Register a callback for the orchestrator's SIGTERM signal.

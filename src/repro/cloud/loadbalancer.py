@@ -29,35 +29,22 @@ class DemandTracker:
     def record_demand(self, service: Service, now: float, concurrency: int) -> None:
         """Record that ``service`` ran ``concurrency`` concurrent instances.
 
-        Demand is recorded at the simulated clock's time, which never goes
-        backwards, so each service's events stay sorted by time and the
-        ones too old to ever matter again form a prefix, trimmed in place.
+        :meth:`is_hot` needs only the latest time at which concurrency
+        reached ``profile.hot_min_concurrency``, so that one float is the
+        whole history.  Demand is recorded at the simulated clock's time,
+        which never goes backwards, so the latest record is the newest.
         """
-        events = service.demand_events
-        events.append((now, concurrency))
-        horizon = now - 2 * self._profile.hot_window
-        stale = 0
-        while stale < len(events) and events[stale][0] < horizon:
-            stale += 1
-        if stale:
-            del events[:stale]
+        if concurrency >= self._profile.hot_min_concurrency:
+            service.last_hot_demand_at = now
 
     def is_hot(self, service: Service, now: float) -> bool:
         """True when the service saw high demand within the hot window.
 
         A *cold* service (no qualifying demand in the past
         ``profile.hot_window``) is placed on base hosts only; a hot one is
-        eligible for helper-host recruitment.  Scans the time-sorted
-        events newest first, stopping at the window's edge.
+        eligible for helper-host recruitment.
         """
-        cutoff = now - self._profile.hot_window
-        threshold = self._profile.hot_min_concurrency
-        for t, c in reversed(service.demand_events):
-            if t <= cutoff:
-                return False
-            if c >= threshold:
-                return True
-        return False
+        return service.last_hot_demand_at > now - self._profile.hot_window
 
 
 class HelperHostRecruiter:

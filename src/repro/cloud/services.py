@@ -7,6 +7,7 @@ defines four container sizes used throughout the evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import CloudError
@@ -89,8 +90,9 @@ class Service:
     image_id: str
     #: Hosts recruited by the load balancer for this service (helper hosts).
     helper_host_ids: list[str] = field(default_factory=list)
-    #: (wall_time, concurrent_instances) peaks, for the demand history.
-    demand_events: list[tuple[float, int]] = field(default_factory=list)
+    #: Latest wall time at which concurrency reached the region's
+    #: ``hot_min_concurrency`` (the whole demand history hotness needs).
+    last_hot_demand_at: float = -math.inf
 
     @property
     def qualified_name(self) -> str:

@@ -26,7 +26,8 @@ from repro.cloud.api import InstanceHandle
 from repro.errors import InstanceGoneError, VerificationError
 from repro.faults import FaultPlan, current_fault_plan
 from repro.hardware.channels import DvfsFrequencyResource
-from repro.sandbox.base import ChannelPort, Sandbox
+from repro.hardware.rng_resource import observe_window
+from repro.sandbox.base import Sandbox
 from repro.telemetry import HistogramSummary, MetricSet, current_telemetry
 
 
@@ -194,11 +195,11 @@ class RngCovertChannel(CovertChannel):
         (:func:`~repro.faults.current_fault_plan`), so channels built
         inside a fault-injected experiment cell pick it up automatically.
 
-    Each test window runs one
-    :meth:`~repro.hardware.rng_resource.ContentionResource.observe_rounds`
-    call per host (:meth:`_observe_window`).  The per-round loop it must
-    reproduce is a test oracle (``tests/oracles.py``); the twin-world
-    suites pin verdicts, hit counts, and RNG end states to it.
+    Each test window observes every host of the batch in one
+    :func:`~repro.hardware.rng_resource.observe_window` call
+    (:meth:`_observe_window`).  The per-round loop it must reproduce is a
+    test oracle (``tests/oracles.py``); the twin-world suites pin
+    verdicts, hit counts, and RNG end states to it.
     """
 
     #: Registry name of the covert-channel kind this class tests over.
@@ -284,38 +285,39 @@ class RngCovertChannel(CovertChannel):
         serial: int,
     ) -> list[CTestResult]:
         flat: list[InstanceHandle] = [h for group in groups for h in group]
-        threshold_of = {
-            h.instance_id: t for group, t in zip(groups, thresholds) for h in group
-        }
+        ids = [handle.instance_id for handle in flat]
+        threshold_of = dict(
+            zip(ids, (t for group, t in zip(groups, thresholds) for _ in group))
+        )
         plan = self.fault_plan
         death_round: dict[str, int] = {}
         if plan is not None:
-            for handle in flat:
+            for instance_id in ids:
                 when = plan.ctest_death_round(
-                    f"b{serial}:{handle.instance_id}", self.total_rounds
+                    f"b{serial}:{instance_id}", self.total_rounds
                 )
                 if when is not None:
-                    death_round[handle.instance_id] = when
+                    death_round[instance_id] = when
                     self.stats.faults_injected += 1
 
         # Instances that stop responding mid-test (injected deaths, or a
         # platform reap racing the test) stop pressuring and report no
         # further rounds; the attacker reads silence as a negative.
         dead: set[str] = set()
-        started: list[InstanceHandle] = []
-        for handle in flat:
-            try:
-                handle.run(self._start)
-                started.append(handle)
-            except InstanceGoneError:
-                dead.add(handle.instance_id)
+        live: list[InstanceHandle] = []
+        for handle, instance_id in zip(flat, ids):
+            if handle.alive:
+                live.append(handle)
+            else:
+                dead.add(instance_id)
+        hits = dict.fromkeys(ids, 0)
         try:
-            hits = self._observe_window(flat, dead, death_round, threshold_of)
+            hits.update(self._observe_window(live, dead, death_round, threshold_of))
             self._last_hits = hits
             # The test window occupies wall time *while* the pressure is
             # on — which is exactly what a platform-side abuse monitor
             # gets to observe.
-            for handle in flat:
+            for handle in live:
                 if handle.instance_id in dead:
                     continue
                 try:
@@ -325,7 +327,7 @@ class RngCovertChannel(CovertChannel):
                     continue
                 break
         finally:
-            for handle in started:
+            for handle in live:
                 if handle.instance_id in dead:
                     continue
                 try:
@@ -335,88 +337,68 @@ class RngCovertChannel(CovertChannel):
 
         self.stats.record_batch([len(g) for g in groups], self.seconds_per_test)
 
-        results = []
-        for group in groups:
-            positive = []
-            for handle in group:
-                instance_id = handle.instance_id
-                verdict = (
-                    instance_id not in dead
-                    and hits[instance_id] >= self.required_rounds
-                )
-                if plan is not None and plan.ctest_noise(f"b{serial}:{instance_id}"):
-                    verdict = not verdict
+        required = self.required_rounds
+        positive = [i not in dead and hits[i] >= required for i in ids]
+        if plan is not None:
+            for index, instance_id in enumerate(ids):
+                if plan.ctest_noise(f"b{serial}:{instance_id}"):
+                    positive[index] = not positive[index]
                     self.stats.faults_injected += 1
-                positive.append(verdict)
+        results = []
+        start = 0
+        for group in groups:
+            end = start + len(group)
             results.append(
-                CTestResult(handles=tuple(group), positive=tuple(positive))
+                CTestResult(handles=tuple(group), positive=tuple(positive[start:end]))
             )
+            start = end
         return results
 
     def _observe_window(
         self,
-        flat: Sequence[InstanceHandle],
+        live: Sequence[InstanceHandle],
         dead: set[str],
         death_round: dict[str, int],
         threshold_of: dict[str, int],
     ) -> dict[str, int]:
-        """Observe one test window; returns per-instance contention hits.
+        """Pressure and observe one test window; returns hits per instance.
 
-        One ``observe_rounds`` call per host per window.  Semantics are
-        those of a per-round loop that visits the live instances in
-        ``flat`` order each round: an instance already gone reads no
-        rounds, and an instance with a ``death_round`` stops observing and
-        pressuring at that round.  Instances found gone or dying are added
-        to ``dead``.
+        ``live`` holds the window's live instances in schedule order.  Each
+        starts pressuring, then every host of the batch is observed in one
+        :func:`~repro.hardware.rng_resource.observe_window` pass.
+        Semantics are those of a per-round loop that visits ``live`` in
+        order each round: an instance with a ``death_round`` stops
+        observing and pressuring at that round and is added to ``dead``.
         """
-        hits = {handle.instance_id: 0 for handle in flat}
         kind = self.kind
-        live: list[InstanceHandle] = []
-        ports: dict[str, ChannelPort] = {}
-        for handle in flat:
-            if handle.instance_id in dead:
-                continue
-            try:
-                port = handle.run(lambda sandbox: sandbox.channel_port(kind))
-            except InstanceGoneError:
-                # A per-round loop would discover this at the instance's
-                # round-0 observe: no observations, no stop call (its
-                # stale pressure keeps counting for co-residents, which
-                # ``observe_rounds`` models as external pressure).
-                dead.add(handle.instance_id)
-                continue
-            ports[handle.instance_id] = port
-            live.append(handle)
-        if not live:
-            return hits
-
+        start = self._start
         total_rounds = self.total_rounds
 
-        def window(sandboxes: list[Sandbox]) -> list[np.ndarray]:
-            ids = [sandbox.sandbox_id for sandbox in sandboxes]
-            resource = ports[ids[0]].resource
-            return resource.observe_rounds(
-                [(instance_id, ports[instance_id].rng) for instance_id in ids],
-                total_rounds,
-                stop_rounds=[death_round.get(instance_id) for instance_id in ids],
-            )
+        def window(host_groups: list[list[Sandbox]]) -> dict[str, int]:
+            hosts = []
+            ids: list[str] = []
+            for sandboxes in host_groups:
+                observers = []
+                for sandbox in sandboxes:
+                    start(sandbox)
+                    port = sandbox.channel_port(kind)
+                    observers.append((port.sandbox_id, port.rng))
+                    ids.append(port.sandbox_id)
+                hosts.append((port.resource, observers))
+            stops = [death_round.get(i) for i in ids] if death_round else None
+            levels = observe_window(hosts, total_rounds, stops)
+            thresholds = np.array([threshold_of[i] for i in ids])
+            counts = np.count_nonzero(levels >= thresholds[:, None], axis=1)
+            return dict(zip(ids, counts.tolist()))
 
-        # One observation call per host; ``run_batch`` preserves the flat
-        # (schedule) order within each host, which is what the death-slot
-        # semantics of ``observe_rounds`` key on.
-        for members, levels in InstanceHandle.run_batch(live, window):
-            for handle, level_stream in zip(members, levels):
-                instance_id = handle.instance_id
-                hits[instance_id] = int(
-                    np.count_nonzero(level_stream >= threshold_of[instance_id])
-                )
-        # Mid-window fault deaths: ``observe_rounds`` already truncated the
+        hits = InstanceHandle.run_batch(live, window)
+        # Mid-window fault deaths: ``observe_window`` already truncated the
         # dying instance's observations and pressure contribution at its
         # death slot, so only the state transition (dead + unregister)
         # remains.
         for handle in live:
             instance_id = handle.instance_id
-            if death_round.get(instance_id) is not None:
+            if instance_id in death_round:
                 dead.add(instance_id)
                 try:
                     handle.run(self._stop)
@@ -462,7 +444,7 @@ class LlcOccupancyChannel(RngCovertChannel):
     ``saturation`` clamp) — and ordinary tenant working sets keep the
     background-contention floor an order of magnitude above the RNG
     channel's, so the default window integrates as long as the RNG test
-    but accepts a laxer hit quota.  Everything else (``observe_rounds``
+    but accepts a laxer hit quota.  Everything else (window
     batching, fault-death semantics, verdict noise) is the shared engine,
     unchanged.
     """

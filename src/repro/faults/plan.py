@@ -223,7 +223,8 @@ class FaultPlan:
     """Deterministic per-event fault decisions for one :class:`FaultSpec`.
 
     Every ``should``-style method hashes ``(seed, site, token)`` to a
-    uniform draw in ``[0, 1)`` and compares it to the site's rate.  The
+    uniform draw in ``[0, 1)`` and compares it to the site's rate; a site
+    whose rate is 0 decides "no fault" without hashing.  The
     plan itself holds no evolving randomness, so it can be pickled into
     worker processes and consulted in any order without changing the
     schedule.
@@ -255,30 +256,30 @@ class FaultPlan:
     # ------------------------------------------------------------------
     def launch_fails(self, instance_id: str, attempt: int) -> bool:
         """Whether launch ``attempt`` (0-based) of an instance fails."""
-        failed = (
-            self.uniform("launch", f"{instance_id}#a{attempt}")
-            < self.spec.launch_error_rate
-        )
-        if failed:
-            self.counters.launch_errors += 1
-            current_telemetry().count("faults.launch_errors")
-        return failed
+        rate = self.spec.launch_error_rate
+        if not rate or self.uniform("launch", f"{instance_id}#a{attempt}") >= rate:
+            return False
+        self.counters.launch_errors += 1
+        current_telemetry().count("faults.launch_errors")
+        return True
 
     def slow_launch_penalty(self, instance_id: str) -> float:
         """Extra cold-start seconds for one launched instance (0 if none)."""
-        if self.uniform("slow-launch", instance_id) < self.spec.slow_launch_rate:
-            self.counters.slow_launches += 1
-            current_telemetry().count("faults.slow_launches")
-            return self.spec.slow_launch_seconds
-        return 0.0
+        rate = self.spec.slow_launch_rate
+        if not rate or self.uniform("slow-launch", instance_id) >= rate:
+            return 0.0
+        self.counters.slow_launches += 1
+        current_telemetry().count("faults.slow_launches")
+        return self.spec.slow_launch_seconds
 
     def ctest_noise(self, token: str) -> bool:
         """Whether one instance's verdict in one CTest is flipped."""
-        flipped = self.uniform("ctest-noise", token) < self.spec.ctest_noise_rate
-        if flipped:
-            self.counters.ctest_noise += 1
-            current_telemetry().count("faults.ctest_noise")
-        return flipped
+        rate = self.spec.ctest_noise_rate
+        if not rate or self.uniform("ctest-noise", token) >= rate:
+            return False
+        self.counters.ctest_noise += 1
+        current_telemetry().count("faults.ctest_noise")
+        return True
 
     def ctest_death_round(self, token: str, total_rounds: int) -> int | None:
         """The round at which an instance dies mid-test, or ``None``.
@@ -287,8 +288,10 @@ class FaultPlan:
         *when*: the sub-rate remainder maps uniformly onto the rounds.
         """
         rate = self.spec.ctest_death_rate
+        if not rate:
+            return None
         draw = self.uniform("ctest-death", token)
-        if rate <= 0.0 or draw >= rate:
+        if draw >= rate:
             return None
         self.counters.ctest_deaths += 1
         current_telemetry().count("faults.ctest_deaths")
@@ -301,19 +304,18 @@ class FaultPlan:
         sequence number), so a *re-probe* of the same measurement carries a
         fresh draw and a bounded retry loop escapes transient spikes.
         """
-        if self.uniform("probe-noise", token) < self.spec.probe_noise_rate:
-            self.counters.probe_noise += 1
-            current_telemetry().count("faults.probe_noise")
-            return self.spec.probe_noise_seconds
-        return 0.0
+        rate = self.spec.probe_noise_rate
+        if not rate or self.uniform("probe-noise", token) >= rate:
+            return 0.0
+        self.counters.probe_noise += 1
+        current_telemetry().count("faults.probe_noise")
+        return self.spec.probe_noise_seconds
 
     def cell_fails(self, cell_key: str, attempt: int) -> bool:
         """Whether execution ``attempt`` (0-based) of a cell raises."""
-        failed = (
-            self.uniform("cell", f"{cell_key}#a{attempt}")
-            < self.spec.cell_error_rate
-        )
-        if failed:
-            self.counters.cell_errors += 1
-            current_telemetry().count("faults.cell_errors")
-        return failed
+        rate = self.spec.cell_error_rate
+        if not rate or self.uniform("cell", f"{cell_key}#a{attempt}") >= rate:
+            return False
+        self.counters.cell_errors += 1
+        current_telemetry().count("faults.cell_errors")
+        return True

@@ -9,15 +9,17 @@ string branches, so adding a channel is one :func:`register_channel_kind`
 call plus a resource/verdict model — nothing in the host, sandbox, or
 engine layers changes.
 
-Extension contract (what keeps a new kind correct under the batched
-``observe_rounds`` CTest engine):
+Extension contract (what keeps a new kind correct under the one-pass
+CTest window, :func:`~repro.hardware.rng_resource.observe_window`):
 
 * the resource class must not override
   :meth:`~repro.hardware.rng_resource.ContentionResource.observe` or
-  :meth:`~repro.hardware.rng_resource.ContentionResource.observe_rounds`;
-  the per-kind oracle test (``tests/unit/test_channel_kinds_twin.py``
-  runs every registered kind against the per-round loop oracle) is what
-  catches a kind whose batched stream drifts from its scalar one;
+  :meth:`~repro.hardware.rng_resource.ContentionResource.observe_rounds`
+  — the window reads only the resource's rates and ``saturation`` —
+  and :func:`register_channel_kind` rejects a class that does; the
+  per-kind oracle test (``tests/unit/test_channel_kinds_twin.py`` runs
+  every registered kind against the per-round loop oracle) catches a
+  kind whose batched stream drifts from its scalar one;
 * channel physics beyond background/drop rates must be expressed as pure
   post-draw transforms (``saturation`` clamping, the DVFS level-to-frequency
   map) so draw order stays byte-identical to the scalar observation;
@@ -183,10 +185,21 @@ def register_channel_kind(kind: ChannelKind) -> ChannelKind:
 
     Registration is metadata-only: no resource is built until a host first
     serves the kind, so registering can never perturb existing kinds' RNG
-    draw order.
+    draw order.  A ``resource_cls`` that overrides ``observe`` or
+    ``observe_rounds`` is rejected with ``ValueError``: the CTest window
+    (:func:`~repro.hardware.rng_resource.observe_window`) reads only a
+    resource's ``drop_rate``, ``background_rate`` and ``saturation``, so
+    such an override would be silently ignored.
     """
     if kind.name in _CHANNEL_KINDS:
         raise ValueError(f"covert-channel kind {kind.name!r} already registered")
+    for method in ("observe", "observe_rounds"):
+        if getattr(kind.resource_cls, method) is not getattr(ContentionResource, method):
+            raise ValueError(
+                f"covert-channel kind {kind.name!r}: resource class "
+                f"{kind.resource_cls.__name__} overrides {method}; the CTest "
+                f"window reads only drop_rate, background_rate and saturation"
+            )
     _CHANNEL_KINDS[kind.name] = kind
     return kind
 

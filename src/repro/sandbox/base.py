@@ -23,12 +23,12 @@ from repro.simtime.clock import SimClock
 class ChannelPort(NamedTuple):
     """Engine-side ingredients for batched covert-channel observation.
 
-    A port bundles what :meth:`~repro.hardware.rng_resource.ContentionResource.observe_rounds`
+    A port bundles what :func:`~repro.hardware.rng_resource.observe_window`
     needs to reproduce one sandbox's scalar observation stream: the host's
     shared contention domain, the pressure-registration id, and the
     sandbox's private randomness source.  It is simulator plumbing — the
-    CTest engine uses it to issue one observation call per *host* per
-    test window — and must never leak into attacker logic, which only
+    CTest engine uses it to observe every host of a test window in one
+    vector pass — and must never leak into attacker logic, which only
     ever sees the scalar observe results.
     """
 
@@ -180,7 +180,7 @@ class Sandbox(abc.ABC):
         """Batched-observation port for one channel kind.
 
         The port reproduces :meth:`observe_channel_contention`'s stream
-        through ``observe_rounds``: same host resource, same sandbox id,
+        through ``observe_window``: same host resource, same sandbox id,
         same private RNG.
         """
         return ChannelPort(

@@ -6,7 +6,9 @@ same verdicts, hit counts, RNG end states, placements, and counts.
 
 * :func:`loop_oracle` — a covert channel whose test window runs the
   per-round loop (one probe round-trip per instance per round) instead of
-  the batched ``observe_rounds`` engine.
+  the one-pass ``observe_window`` engine.
+* :func:`scalar_window` — the same per-round loop at the resource level:
+  one scalar ``observe`` per observer per round, host by host.
 * :func:`use_scalar_launch` — an orchestrator whose launch commit runs the
   per-instance loop (one seed draw, an eagerly built sandbox on a
   ``default_rng`` generator, count increment, and retry loop per instance)
@@ -16,6 +18,8 @@ same verdicts, hit counts, RNG end states, placements, and counts.
   draw per instance) instead of one batched call.
 * :func:`census_reduce_scalar` — the set-based census reduction that
   :class:`~repro.analysis.aggregation.FootprintAccumulator` replaces.
+* :class:`DemandHistoryOracle` — the per-service list of demand events,
+  trimmed in place, that one float per service replaces.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from repro.cloud.orchestrator import Orchestrator
 from repro.cloud.services import Service
 from repro.core.covert import RngCovertChannel
 from repro.errors import InstanceGoneError, LaunchError
+from repro.hardware.rng_resource import ContentionResource
 from repro.sandbox.gvisor import GVisorSandbox
 from repro.sandbox.microvm import MicroVMSandbox
 from repro.telemetry import current_telemetry
@@ -42,9 +47,10 @@ from repro.telemetry import current_telemetry
 class LoopWindowOracle:
     """Mixin: replaces a channel's window observer with the per-round loop.
 
-    Each round visits the instances in flat order; an instance reaching
-    its fault-injected death round stops its pressure and observes no
-    more, and an instance found gone is marked dead.
+    Every live instance starts pressuring, one probe round-trip each; then
+    each round visits them in schedule order; an instance reaching its
+    fault-injected death round stops its pressure and observes no more,
+    and an instance found gone is marked dead.
     """
 
     def _observe_round(self, sandbox) -> int:
@@ -52,14 +58,16 @@ class LoopWindowOracle:
 
     def _observe_window(
         self,
-        flat: Sequence[InstanceHandle],
+        live: Sequence[InstanceHandle],
         dead: set[str],
         death_round: dict[str, int],
         threshold_of: dict[str, int],
     ) -> dict[str, int]:
-        hits = {handle.instance_id: 0 for handle in flat}
+        for handle in live:
+            handle.run(self._start)
+        hits = {handle.instance_id: 0 for handle in live}
         for round_index in range(self.total_rounds):
-            for handle in flat:
+            for handle in live:
                 instance_id = handle.instance_id
                 if instance_id in dead:
                     continue
@@ -84,6 +92,40 @@ class LoopWindowOracle:
 def loop_oracle(channel_cls: type[RngCovertChannel]) -> type[RngCovertChannel]:
     """``channel_cls`` with its test window run by the per-round loop."""
     return type(f"Loop{channel_cls.__name__}", (LoopWindowOracle, channel_cls), {})
+
+
+def scalar_window(
+    hosts: Sequence[tuple[ContentionResource, Sequence[tuple[str, np.random.Generator]]]],
+    n_rounds: int,
+    stop_rounds: Sequence[int | None] | None = None,
+) -> list[list[int]]:
+    """Per-round scalar loop over a window; one level list per observer.
+
+    Each round visits a host's observers in schedule order; an observer
+    reaching its stop round unregisters its pressure at its own slot and
+    observes no more.  Hosts share no state, so they run one after the
+    other.  Mutates the resources (dead observers are unregistered).
+    """
+    n_observers = sum(len(observers) for _resource, observers in hosts)
+    stops = list(stop_rounds) if stop_rounds is not None else [None] * n_observers
+    levels: list[list[int]] = []
+    index = 0
+    for resource, observers in hosts:
+        host_levels: list[list[int]] = [[] for _ in observers]
+        host_stops = stops[index : index + len(observers)]
+        index += len(observers)
+        dead: set[str] = set()
+        for round_index in range(n_rounds):
+            for (instance_id, rng), stop, seen in zip(observers, host_stops, host_levels):
+                if instance_id in dead:
+                    continue
+                if stop == round_index:
+                    dead.add(instance_id)
+                    resource.stop_pressure(instance_id)
+                    continue
+                seen.append(resource.observe(instance_id, rng))
+        levels.extend(host_levels)
+    return levels
 
 
 # ----------------------------------------------------------------------
@@ -211,3 +253,40 @@ def census_reduce_scalar(
         per_launch.append(len(footprint))
         cumulative.append(len(seen))
     return per_launch, cumulative
+
+
+# ----------------------------------------------------------------------
+# Demand history: the per-service event list
+# ----------------------------------------------------------------------
+class DemandHistoryOracle:
+    """One service's demand history as a time-sorted event list.
+
+    Records ``(time, concurrency)`` events, trims the prefix too old to
+    matter in place, and answers hotness by scanning newest first — the
+    history :class:`~repro.cloud.loadbalancer.DemandTracker` kept before
+    it reduced it to the latest hot time.
+    """
+
+    def __init__(self, hot_window: float, hot_min_concurrency: int) -> None:
+        self.hot_window = hot_window
+        self.hot_min_concurrency = hot_min_concurrency
+        self.events: list[tuple[float, int]] = []
+
+    def record_demand(self, now: float, concurrency: int) -> None:
+        events = self.events
+        events.append((now, concurrency))
+        horizon = now - 2 * self.hot_window
+        stale = 0
+        while stale < len(events) and events[stale][0] < horizon:
+            stale += 1
+        if stale:
+            del events[:stale]
+
+    def is_hot(self, now: float) -> bool:
+        cutoff = now - self.hot_window
+        for t, c in reversed(self.events):
+            if t <= cutoff:
+                return False
+            if c >= self.hot_min_concurrency:
+                return True
+        return False

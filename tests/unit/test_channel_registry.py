@@ -63,6 +63,37 @@ class TestRegistry:
         with pytest.raises(ValueError, match="built-in"):
             unregister_channel_kind("rng")
 
+    @pytest.mark.parametrize("method", ["observe", "observe_rounds"])
+    def test_resource_overriding_observation_rejected(self, method):
+        resource_cls = type(
+            "OverridingResource",
+            (ContentionResource,),
+            {method: lambda self, *args, **kwargs: None},
+        )
+        kind = ChannelKind(
+            name="test-overriding",
+            description="resource that overrides an observation method",
+            background_rate=0.01,
+            drop_rate=0.01,
+            resource_cls=resource_cls,
+        )
+        with pytest.raises(ValueError, match=f"overrides {method}"):
+            register_channel_kind(kind)
+        assert "test-overriding" not in registered_channel_kinds()
+
+    def test_builtin_kinds_satisfy_the_contract(self):
+        for name in ("rng", "bus", "llc", "dvfs"):
+            builtin = channel_kind(name)
+            copy = ChannelKind(
+                name=f"test-copy-{name}",
+                description=builtin.description,
+                background_rate=builtin.background_rate,
+                drop_rate=builtin.drop_rate,
+                resource_cls=builtin.resource_cls,
+            )
+            register_channel_kind(copy)
+            unregister_channel_kind(copy.name)
+
     def test_register_unregister_roundtrip(self):
         kind = ChannelKind(
             name="test-scratch",

@@ -11,6 +11,7 @@ from repro.fleet import FleetStore
 from repro.simtime.clock import SIM_EPOCH
 
 from tests.conftest import tiny_profile
+from tests.oracles import DemandHistoryOracle
 
 
 def make_service():
@@ -49,30 +50,19 @@ class TestDemandTracker:
         tracker.record_demand(service, SIM_EPOCH, 50)
         assert not tracker.is_hot(service, SIM_EPOCH + 60.0)
 
-    def test_history_is_trimmed(self):
-        profile = tiny_profile()
+    def test_history_is_latest_hot_time(self):
+        profile = tiny_profile(hot_min_concurrency=10)
         tracker = DemandTracker(profile)
         service = make_service()
         for i in range(100):
-            tracker.record_demand(service, SIM_EPOCH + i * profile.hot_window, 50)
-        assert len(service.demand_events) < 10
+            tracker.record_demand(service, SIM_EPOCH + i * 60.0, 50 if i < 70 else 5)
+        assert service.last_hot_demand_at == SIM_EPOCH + 69 * 60.0
 
 
-def comprehension_record(events, now, concurrency, hot_window):
-    """The demand trim as a filtered copy of the whole history."""
-    events = events + [(now, concurrency)]
-    horizon = now - 2 * hot_window
-    return [(t, c) for (t, c) in events if t >= horizon]
-
-
-def comprehension_is_hot(events, now, hot_window, min_concurrency):
-    cutoff = now - hot_window
-    return any(t > cutoff and c >= min_concurrency for (t, c) in events)
-
-
-class TestDemandTrimMatchesComprehension:
-    """In-place trimming and the newest-first hotness scan agree with the
-    filtered-copy comprehension on every nondecreasing event stream."""
+class TestDemandMatchesListOracle:
+    """The one-float history answers hotness exactly as the trimmed event
+    list with its newest-first scan, on every nondecreasing event stream
+    queried at or after its newest event."""
 
     @given(
         steps=st.lists(
@@ -86,26 +76,20 @@ class TestDemandTrimMatchesComprehension:
         ),
         min_concurrency=st.integers(1, 20),
     )
-    def test_trim_and_is_hot_match(self, steps, min_concurrency):
+    def test_is_hot_matches_list_scan(self, steps, min_concurrency):
         profile = tiny_profile(hot_min_concurrency=min_concurrency)
         tracker = DemandTracker(profile)
         service = make_service()
-        reference: list[tuple[float, int]] = []
+        oracle = DemandHistoryOracle(profile.hot_window, min_concurrency)
         times = itertools.accumulate(gap for gap, _c, _q in steps)
         for now, (_gap, concurrency, query_after) in zip(times, steps):
             now += SIM_EPOCH
             query = now + query_after
-            assert tracker.is_hot(service, query) == comprehension_is_hot(
-                reference, query, profile.hot_window, min_concurrency
-            )
+            assert tracker.is_hot(service, query) == oracle.is_hot(query)
             tracker.record_demand(service, now, concurrency)
-            reference = comprehension_record(
-                reference, now, concurrency, profile.hot_window
-            )
-            assert service.demand_events == reference
-            assert tracker.is_hot(service, now) == comprehension_is_hot(
-                reference, now, profile.hot_window, min_concurrency
-            )
+            oracle.record_demand(now, concurrency)
+            for at in (now, now + profile.hot_window, now + query_after):
+                assert tracker.is_hot(service, at) == oracle.is_hot(at)
 
 
 class TestHelperRecruiter:

@@ -1,5 +1,7 @@
 """Unit tests for services and container sizes (Table 1)."""
 
+import math
+
 import pytest
 
 from repro.cloud.services import (
@@ -84,4 +86,4 @@ class TestService:
             config=ServiceConfig(name="x"), account_id="a", image_id="i"
         )
         assert service.helper_host_ids == []
-        assert service.demand_events == []
+        assert service.last_hot_demand_at == -math.inf

@@ -175,6 +175,24 @@ class TestEdgeCases:
         # The dead instance reads as negative on both paths.
         assert loop["positives"][0][0] is False
 
+    def test_every_instance_dead_before_start(self, tiny_env_factory):
+        worlds = {}
+        for batched in (False, True):
+            env = tiny_env_factory(seed=3)
+            handles = launch(env, 4)
+            for handle in handles:
+                handle._instance.terminate(env.orchestrator.clock.now())
+            channel_cls = RngCovertChannel if batched else loop_oracle(RngCovertChannel)
+            channel = channel_cls()
+            results = channel.ctest_batch([handles[:2], handles[2:]], 2)
+            worlds[batched] = (
+                [r.positive for r in results],
+                dict(channel._last_hits),
+                env.orchestrator.clock.now(),
+            )
+        assert worlds[False] == worlds[True]
+        assert worlds[True][0] == [(False, False), (False, False)]
+
     def test_death_at_round_zero(self, tiny_env_factory):
         env = tiny_env_factory(seed=4)
         victim = launch(env, 4)[0].instance_id
@@ -220,10 +238,10 @@ class TestEdgeCases:
         )
 
     def test_stale_pressure_from_real_instance_gone(self, tiny_env_factory):
-        """An instance terminated between pressure start and the window
-        raises a real ``InstanceGoneError``; the loop never stops its
-        pressure, and the batched engine must model that stale pressure
-        as external contention."""
+        """An instance terminated after it started pressuring (so its stop
+        never ran) is gone when the next window starts; the loop never
+        stops its pressure, and the batched engine must model that stale
+        pressure as external contention."""
         worlds = {}
         for batched in (False, True):
             env = tiny_env_factory(seed=7)
@@ -234,9 +252,9 @@ class TestEdgeCases:
                 handle.run(channel._start)
             victim = handles[0]
             victim._instance.terminate(env.orchestrator.clock.now())
-            dead: set[str] = set()
+            dead = {victim.instance_id}
             hits = channel._observe_window(
-                handles,
+                handles[1:],
                 dead,
                 {},
                 {h.instance_id: 2 for h in handles},
@@ -328,35 +346,58 @@ class TestRunBatch:
         handles = launch(tiny_env, 12)
         orch = tiny_env.orchestrator
         groups = InstanceHandle.run_batch(
-            handles, lambda sandboxes: [s.sandbox_id for s in sandboxes]
+            handles,
+            lambda host_groups: [[s.sandbox_id for s in group] for group in host_groups],
         )
-        for members, ids in groups:
-            assert [h.instance_id for h in members] == ids
-            hosts = {orch.true_host_of(h.instance_id) for h in members}
-            assert len(hosts) == 1
-        flat = [h.instance_id for members, _ids in groups for h in members]
+        hosts = [{orch.true_host_of(i) for i in ids} for ids in groups]
+        assert all(len(group_hosts) == 1 for group_hosts in hosts)
+        assert len({next(iter(h)) for h in hosts}) == len(groups)
+        flat = [i for ids in groups for i in ids]
         assert sorted(flat) == sorted(h.instance_id for h in handles)
+
+    def test_probe_called_once_with_every_host(self, tiny_env):
+        handles = launch(tiny_env, 12)
+        calls: list[int] = []
+
+        def probe(host_groups):
+            calls.append(len(host_groups))
+
+        InstanceHandle.run_batch(handles, probe)
+        hosts = {tiny_env.orchestrator.true_host_of(h.instance_id) for h in handles}
+        assert calls == [len(hosts)]
 
     def test_preserves_input_order_within_host(self, tiny_env):
         handles = launch(tiny_env, 12)
         order = {h.instance_id: i for i, h in enumerate(handles)}
-        for members, _ in InstanceHandle.run_batch(
-            handles, lambda sandboxes: None
-        ):
-            indices = [order[h.instance_id] for h in members]
+        groups = InstanceHandle.run_batch(
+            handles,
+            lambda host_groups: [[s.sandbox_id for s in group] for group in host_groups],
+        )
+        for ids in groups:
+            indices = [order[i] for i in ids]
             assert indices == sorted(indices)
+
+    def test_hosts_in_first_appearance_order(self, tiny_env):
+        handles = launch(tiny_env, 12)
+        order = {h.instance_id: i for i, h in enumerate(handles)}
+        groups = InstanceHandle.run_batch(
+            handles,
+            lambda host_groups: [[s.sandbox_id for s in group] for group in host_groups],
+        )
+        firsts = [order[ids[0]] for ids in groups]
+        assert firsts == sorted(firsts)
 
     def test_dead_handle_rejected_before_any_probe(self, tiny_env):
         handles = launch(tiny_env, 4)
         handles[2]._instance.terminate(tiny_env.orchestrator.clock.now())
         probed: list[str] = []
 
-        def probe(sandboxes):
-            probed.extend(s.sandbox_id for s in sandboxes)
+        def probe(host_groups):
+            probed.extend(s.sandbox_id for group in host_groups for s in group)
 
         with pytest.raises(InstanceGoneError):
             InstanceHandle.run_batch(handles, probe)
         assert probed == []
 
     def test_empty_input(self):
-        assert InstanceHandle.run_batch([], lambda sandboxes: None) == []
+        assert InstanceHandle.run_batch([], lambda host_groups: host_groups) == []

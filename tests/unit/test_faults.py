@@ -14,6 +14,7 @@ from repro.faults import (
     current_fault_plan,
     fault_context,
 )
+from repro.faults.plan import hashed_uniform
 
 
 class TestFaultSpecParsing:
@@ -165,6 +166,94 @@ class TestFaultPlanSites:
         assert plan.spec.cell_error_rate == 0.25
         assert plan.spec.seed == 42
         assert not FaultPlan().enabled
+
+
+def reference_decisions(spec: FaultSpec, tokens: list[str]) -> tuple[list, dict]:
+    """Every site's decisions as ``hashed_uniform(...) < rate``, hashing
+    even at rate 0, with the counter each site would have kept."""
+    def hit(site, token, rate):
+        return hashed_uniform(spec.seed, site, token) < rate
+
+    decisions, counts = [], dict.fromkeys(
+        ("launch", "slow", "noise", "death", "probe", "cell"), 0
+    )
+    for token in tokens:
+        launch = hit("launch", f"{token}#a1", spec.launch_error_rate)
+        slow = hit("slow-launch", token, spec.slow_launch_rate)
+        noise = hit("ctest-noise", token, spec.ctest_noise_rate)
+        draw = hashed_uniform(spec.seed, "ctest-death", token)
+        death = (
+            min(int(draw / spec.ctest_death_rate * 60), 59)
+            if draw < spec.ctest_death_rate
+            else None
+        )
+        probe = hit("probe-noise", token, spec.probe_noise_rate)
+        cell = hit("cell", f"{token}#a0", spec.cell_error_rate)
+        decisions.append(
+            (
+                launch,
+                spec.slow_launch_seconds if slow else 0.0,
+                noise,
+                death,
+                spec.probe_noise_seconds if probe else 0.0,
+                cell,
+            )
+        )
+        for name, fired in zip(counts, (launch, slow, noise, death is not None, probe, cell)):
+            counts[name] += fired
+    return decisions, counts
+
+
+class TestZeroRateSites:
+    TOKENS = [f"b{k % 7}:svc#{k:05d}" for k in range(300)]
+
+    def decide(self, plan: FaultPlan) -> list:
+        return [
+            (
+                plan.launch_fails(token, 1),
+                plan.slow_launch_penalty(token),
+                plan.ctest_noise(token),
+                plan.ctest_death_round(token, 60),
+                plan.probe_delay_seconds(token),
+                plan.cell_fails(token, 0),
+            )
+            for token in self.TOKENS
+        ]
+
+    @pytest.mark.parametrize("rate", [0.0, 0.05, 0.5, 1.0])
+    def test_decisions_and_counters_match_hashing_every_site(self, rate):
+        spec = FaultSpec(
+            launch_error_rate=rate,
+            slow_launch_rate=rate,
+            ctest_noise_rate=rate,
+            ctest_death_rate=rate,
+            probe_noise_rate=rate,
+            cell_error_rate=rate,
+            seed=9,
+        )
+        plan = FaultPlan(spec)
+        expected, counts = reference_decisions(spec, self.TOKENS)
+        assert self.decide(plan) == expected
+        c = plan.counters
+        assert (
+            c.launch_errors, c.slow_launches, c.ctest_noise,
+            c.ctest_deaths, c.probe_noise, c.cell_errors,
+        ) == tuple(counts.values())
+        if 0.0 < rate < 1.0:
+            assert 0 < c.total_injected < 6 * len(self.TOKENS)
+
+    def test_zero_rate_sites_never_hash(self, monkeypatch):
+        plan = FaultPlan(FaultSpec(launch_error_rate=0.3, seed=9))
+        sites: list[str] = []
+        original = plan.uniform
+
+        def counting(site, token):
+            sites.append(site)
+            return original(site, token)
+
+        monkeypatch.setattr(plan, "uniform", counting)
+        self.decide(plan)
+        assert set(sites) == {"launch"}
 
 
 class TestRetryPolicy:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hardware.rng_resource import RngContentionResource
+from tests.oracles import scalar_window
 
 
 def noiseless() -> RngContentionResource:
@@ -77,33 +78,6 @@ def noisy() -> RngContentionResource:
     return RngContentionResource(background_rate=0.3, drop_rate=0.25)
 
 
-def scalar_window(
-    res: RngContentionResource,
-    observers: list[str],
-    n_rounds: int,
-    death_round: dict[str, int],
-    rngs: dict[str, np.random.Generator],
-) -> dict[str, list[int]]:
-    """Reference engine: the scalar per-round loop, visiting observers in
-    schedule order and stopping a dying observer's pressure at its own slot.
-
-    Mutates ``res`` (dead observers are unregistered), so callers give it
-    its own resource instance.
-    """
-    levels: dict[str, list[int]] = {instance_id: [] for instance_id in observers}
-    dead: set[str] = set()
-    for round_index in range(n_rounds):
-        for instance_id in observers:
-            if instance_id in dead:
-                continue
-            if death_round.get(instance_id) == round_index:
-                dead.add(instance_id)
-                res.stop_pressure(instance_id)
-                continue
-            levels[instance_id].append(res.observe(instance_id, rngs[instance_id]))
-    return levels
-
-
 class TestObserveRounds:
     """Pins the draw-order contract: ``observe_rounds`` is byte-identical
     to the scalar loop — same levels, same generator end states."""
@@ -121,16 +95,15 @@ class TestObserveRounds:
         scalar_res, batch_res, scalar_rngs, batch_rngs = self._twin_worlds(
             observers, externals
         )
+        stops = [death_round.get(o) for o in observers]
         expected = scalar_window(
-            scalar_res, observers, n_rounds, death_round, scalar_rngs
+            [(scalar_res, [(o, scalar_rngs[o]) for o in observers])], n_rounds, stops
         )
         got = batch_res.observe_rounds(
-            [(o, batch_rngs[o]) for o in observers],
-            n_rounds,
-            stop_rounds=[death_round.get(o) for o in observers],
+            [(o, batch_rngs[o]) for o in observers], n_rounds, stop_rounds=stops
         )
-        for instance_id, levels in zip(observers, got):
-            assert list(levels) == expected[instance_id], instance_id
+        for instance_id, levels, want in zip(observers, got, expected):
+            assert list(levels) == want, instance_id
         for instance_id in observers:
             assert (
                 str(batch_rngs[instance_id].bit_generator.state)
